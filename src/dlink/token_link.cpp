@@ -33,7 +33,7 @@ std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
   // different content (found by scenario_fuzz as a VS divergence).
   const std::uint32_t seal = r.u32();
   if (!r.ok() || !r.exhausted()) return std::nullopt;
-  if (seal != wire::fnv1a32(raw.data(), raw.size() - 4)) return std::nullopt;
+  if (seal != wire::crc32c(raw.data(), raw.size() - 4)) return std::nullopt;
   return f;
 }
 

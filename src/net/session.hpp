@@ -40,13 +40,16 @@ class Session {
   const SessionConfig& config() const { return cfg_; }
 
   // -- Envelope codec --------------------------------------------------------
-  // v2 layout: magic u32 | version u8 | shard u32 | src u32 | dst u32 |
-  // payload-length u32 | payload. v1 (no shard field) is not accepted: a
+  // v3 layout: magic u32 | version u8 | shard u32 | src u32 | dst u32 |
+  // payload-length u32 | payload. Older versions are not accepted: a
   // cohort is always deployed as one build, and rejecting the old version
   // outright keeps the strict-framing property (every accepted datagram
-  // has exactly one valid reading).
+  // has exactly one valid reading). v1 had no shard field; v2 has the v3
+  // envelope but seals its inner token-link frames with FNV-1a instead of
+  // CRC-32C, so a v2 datagram would pass here and then fail every frame
+  // seal silently — the version check counts it as malformed instead.
   static constexpr std::uint32_t kMagic = 0x55525353;  // "SSRU" little-endian
-  static constexpr std::uint8_t kVersion = 2;
+  static constexpr std::uint8_t kVersion = 3;
   static wire::Bytes encode_envelope(std::uint32_t shard, NodeId src,
                                      NodeId dst, const wire::Bytes& payload);
   /// On success `*shard_out` (when non-null) receives the envelope's shard

@@ -275,7 +275,7 @@ ScenarioSpec adversarial_bitflips() {
       "full stack with the VS layer under worst-case scheduling plus 1% "
       "wire bit flips; promoted from a scenario_fuzz counterexample where "
       "a flipped bit inside a value field decoded as a valid message and "
-      "broke virtual synchrony — frames are sealed with fnv1a32 since";
+      "broke virtual synchrony — frames are sealed with crc32c since";
   s.initial_nodes = 5;
   s.enable_vs = true;
   s.corrupt_probability = 0.01;

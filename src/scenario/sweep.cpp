@@ -25,12 +25,13 @@
 // allocation addresses never feed the trace). The remaining shared state in
 // the library was audited for this engine and consists only of immutable
 // function-local statics initialized on first use — scenario::library(),
-// shard::sharded_library(), RecSA's kBottom / kEmptyEcho sentinels and the
-// Router's kEmpty set — which C++ guarantees thread-safe to initialize and
-// which no code path mutates afterwards. There is no global RNG: every
-// random draw forks from the World's seed. Keep it that way; a new mutable
-// global in the node stack would surface here first (and in the TSan CI
-// job, which runs this engine).
+// shard::sharded_library(), RecSA's kBottom / kEmptyEcho sentinels, the
+// Router's kEmpty set and wire::crc32c's implementation pointer (both
+// implementations return identical values) — which C++ guarantees
+// thread-safe to initialize and which no code path mutates afterwards.
+// There is no global RNG: every random draw forks from the World's seed.
+// Keep it that way; a new mutable global in the node stack would surface
+// here first (and in the TSan CI job, which runs this engine).
 
 namespace ssr::scenario {
 namespace {

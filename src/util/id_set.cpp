@@ -53,7 +53,11 @@ IdSet IdSet::from_vector(std::vector<NodeId> ids) {
   IdSet s;
   s.grow(ids.size());
   s.size_ = ids.size();
-  std::memcpy(s.data(), ids.data(), ids.size() * sizeof(NodeId));
+  // An empty vector may hand out a null data(); memcpy from null is UB
+  // even for zero bytes.
+  if (!ids.empty()) {
+    std::memcpy(s.data(), ids.data(), ids.size() * sizeof(NodeId));
+  }
   return s;
 }
 

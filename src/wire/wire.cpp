@@ -1,16 +1,98 @@
 #include "wire/wire.hpp"
 
+#include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define SSR_CRC32C_SSE42 1
+#else
+#define SSR_CRC32C_SSE42 0
+#endif
+
 namespace ssr::wire {
 
-std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t len) {
-  // 64-bit FNV-1a folded by xor — cheaper per byte than the 32-bit variant
-  // on 64-bit hardware and mixes the high bytes into the fold.
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+namespace {
+
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // Castagnoli, reflected
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
+// contribution of byte b followed by k zero bytes, which lets the
+// slice-by-8 loop fold eight independent lookups per 8-byte step.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t c = b;
+    for (int i = 0; i < 8; ++i) c = (c >> 1) ^ (kCrc32cPoly & (0u - (c & 1u)));
+    t[0][b] = c;
   }
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Byte-wise little-endian load: correct on any host, and a single
+// unaligned move where the host is little-endian.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+#if SSR_CRC32C_SSE42
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const std::uint8_t* data, std::size_t len) {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; len >= 8; data += 8, len -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data, sizeof word);  // x86-64 is little-endian
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto c = static_cast<std::uint32_t>(crc);
+  for (; len > 0; ++data, --len) c = _mm_crc32_u8(c, *data);
+  return ~c;
+}
+#endif
+
+}  // namespace
+
+std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t len) {
+  const CrcTables& t = kCrcTables;
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFF];
+  return ~crc;
+}
+
+Crc32cFn crc32c_hardware() {
+#if SSR_CRC32C_SSE42
+  if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
+#endif
+  return nullptr;
+}
+
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) {
+  // Chosen once; a const function pointer is safe to share across the
+  // sweep engine's worker threads.
+  static const Crc32cFn impl = [] {
+    const Crc32cFn hw = crc32c_hardware();
+    return hw != nullptr ? hw : crc32c_portable;
+  }();
+  return impl(data, len);
 }
 
 BufferPool& BufferPool::local() {

@@ -83,7 +83,9 @@ TEST(SessionEnvelope, TableDrivenBitFlipsNeverCrashOrMisframe) {
   // Everything in the magic/version/length region must have been rejected.
   EXPECT_GE(rejected, (4 + 1 + 4) * 8u);
 
-  for (int version : {0, 1, 17, 255}) {
+  // 2 is the previous release: same envelope layout, but its token-link
+  // frames carry the old seal, so a mixed cohort must fail at the envelope.
+  for (int version : {0, 1, 2, 17, 255}) {
     wire::Bytes d = good;
     d[4] = static_cast<std::uint8_t>(version);
     EXPECT_FALSE(Session::decode_envelope(d.data(), d.size()))

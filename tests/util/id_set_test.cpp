@@ -23,6 +23,16 @@ TEST(IdSet, FromVectorNormalizes) {
   EXPECT_EQ(s.values(), (std::vector<NodeId>{2, 7, 9}));
 }
 
+// An empty std::vector's data() may be null; from_vector must not hand it
+// to memcpy (UBSan's nonnull-attribute check, run by the sanitize job).
+TEST(IdSet, FromEmptyVector) {
+  IdSet s = IdSet::from_vector({});
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s, IdSet{});
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_EQ(s.values(), (std::vector<NodeId>{3}));
+}
+
 TEST(IdSet, InsertReportsNovelty) {
   IdSet s;
   EXPECT_TRUE(s.insert(4));
