@@ -76,6 +76,7 @@ class Network {
   void isolate(NodeId id) { isolated_.insert(id); }
   /// The isolate() inverse; any split()-created partition stays in place.
   void rejoin(NodeId id) { isolated_.erase(id); }
+  bool isolated(NodeId id) const { return isolated_.count(id) != 0; }
   /// Removes every partition block (isolated nodes stay isolated).
   void heal();
   bool blocked(NodeId src, NodeId dst) const {

@@ -10,6 +10,24 @@ reconf::RecMA::EvalConf quarter_failed_policy(const fd::ThetaFD& fd) {
   };
 }
 
+reconf::RecMA::EvalConf prediction_policy(Node& n, bool aggressive,
+                                          bool adopt_joiners) {
+  reconf::RecMA::EvalConf base = quarter_failed_policy(n.failure_detector());
+  if (aggressive) {
+    base = [&n](const IdSet& cfg) {
+      return cfg.intersection_size(n.failure_detector().trusted()) <
+             cfg.size();
+    };
+  }
+  if (!adopt_joiners) return base;
+  return [&n, base = std::move(base)](const IdSet& cfg) {
+    if (base(cfg)) return true;
+    const IdSet admitted =
+        n.recsa().participants().intersect(n.failure_detector().trusted());
+    return !admitted.subset_of(cfg);
+  };
+}
+
 Node::Node(net::Transport& transport, NodeId id, NodeConfig cfg, Rng rng)
     : transport_(transport),
       id_(id),

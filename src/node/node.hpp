@@ -33,6 +33,20 @@ struct NodeConfig {
 /// least a quarter of the configuration members are no longer trusted.
 reconf::RecMA::EvalConf quarter_failed_policy(const fd::ThetaFD& fd);
 
+class Node;
+
+/// The prediction policy a node runs: quarter_failed_policy, or with
+/// `aggressive` replace-on-any-suspected-member. `adopt_joiners` adds the
+/// joiner-adoption term: also advise reconfiguration while some trusted
+/// recSA participant is outside the configuration. Both base policies
+/// count only *suspected members*, so a cohort whose churn never touches
+/// a config member (joins, or crashes of other joiners) would keep its
+/// configuration frozen — estab(participants()) only ever piggybacks on an
+/// eviction trigger. Found by scenario_fuzz (the "joiner-adoption" library
+/// scenario); opt-in so default-policy executions stay unchanged.
+reconf::RecMA::EvalConf prediction_policy(Node& n, bool aggressive,
+                                          bool adopt_joiners);
+
 /// One processor running the full protocol stack of Fig. 1:
 /// token links + (N,Θ)-FD + recSA + recMA + joining + labeling + counters +
 /// virtually synchronous SMR + shared-memory registers. The stack depends

@@ -26,28 +26,6 @@
 namespace ssr::scenario {
 namespace {
 
-std::uint64_t digest_ids(const IdSet& ids) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (NodeId id : ids) h = TraceRecorder::mix(h, id);
-  return h;
-}
-
-std::uint64_t digest_name(const std::string& s) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (char c : s) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
-std::uint64_t digest_action(const Action& a) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  h = TraceRecorder::mix(h, digest_ids(a.targets));
-  h = TraceRecorder::mix(h, digest_ids(a.group_b));
-  h = TraceRecorder::mix(h, a.n);
-  h = TraceRecorder::mix(h, a.duration);
-  for (char c : a.reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
 std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
                         const std::string& key) {
   auto it = kv.find(key);
@@ -58,9 +36,12 @@ std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
 }  // namespace
 
 ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
-    : spec_(std::move(spec)), opt_(std::move(opt)) {
+    : spec_(std::move(spec)),
+      opt_(std::move(opt)),
+      keyed_(spec_.initial_map_shards(), spec_.shards) {
   SSR_ASSERT(!opt_.node_binary.empty(),
              "ProcessBackendOptions.node_binary is required");
+  SSR_ASSERT(spec_.shards >= 1, "a scenario runs at least one fleet");
   epoch_usec_ = steady_usec();
   if (opt_.work_dir.empty()) {
     std::string templ =
@@ -73,20 +54,34 @@ ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
     made_dir_ = true;
   } else {
     dir_ = opt_.work_dir;
-    std::filesystem::create_directories(dir_);
   }
-  trace_.set_clock([this] { return now(); });
-  registry_ = std::make_unique<InvariantRegistry>(
-      InvariantRegistry::Clock([this] { return now(); }));
+  fleets_.reserve(spec_.shards);
+  for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+    Fleet& f = fleets_.emplace_back();
+    f.name = spec_.name;
+    f.dir = dir_;
+    f.seed = spec_.fleet_seed(opt_.seed, s);
+    if (spec_.shards > 1) {
+      f.name += "/shard" + std::to_string(s);
+      f.dir += "/shard" + std::to_string(s);
+      f.tag = s + 1;
+    }
+    std::filesystem::create_directories(f.dir);
+    f.trace.set_clock([this] { return now(); });
+    f.registry = std::make_unique<InvariantRegistry>(
+        InvariantRegistry::Clock([this] { return now(); }));
+  }
 }
 
 ProcessRunner::~ProcessRunner() {
-  for (auto& [id, p] : procs_) {
-    if (p.pid > 0) {
-      ::kill(p.pid, SIGKILL);  // kills stopped children too
-      int status = 0;
-      ::waitpid(p.pid, &status, 0);
-      p.pid = -1;
+  for (Fleet& f : fleets_) {
+    for (auto& [id, p] : f.procs) {
+      if (p.pid > 0) {
+        ::kill(p.pid, SIGKILL);  // kills stopped children too
+        int status = 0;
+        ::waitpid(p.pid, &status, 0);
+        p.pid = -1;
+      }
     }
   }
   // Keep the directory (logs, peer maps) whenever something went wrong so
@@ -113,44 +108,44 @@ void ProcessRunner::step_sleep() const {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 }
 
-IdSet ProcessRunner::alive() const {
+IdSet ProcessRunner::alive(const Fleet& f) {
   IdSet out;
-  for (const auto& [id, p] : procs_) {
+  for (const auto& [id, p] : f.procs) {
     if (p.alive) out.insert(id);
   }
   return out;
 }
 
-IdSet ProcessRunner::targets_or_alive(const Action& a) const {
-  return a.targets.empty() ? alive() : a.targets;
+IdSet ProcessRunner::targets_or_alive(const Fleet& f, const Action& a) const {
+  return a.targets.empty() ? alive(f) : a.targets;
 }
 
-bool ProcessRunner::converged_now() const {
-  const IdSet live = alive();
-  if (live.empty()) return false;
-  bool first = true;
-  IdSet common;
-  for (NodeId id : live) {
-    const Proc& p = procs_.at(id);
-    if (!p.sampled || !p.noreco || !p.cfg_proper) return false;
-    if (first) {
+std::optional<IdSet> ProcessRunner::common_config(const Fleet& f) {
+  std::optional<IdSet> common;
+  for (const auto& [id, p] : f.procs) {
+    (void)id;
+    if (!p.alive) continue;
+    if (!p.sampled || !p.noreco || !p.cfg_proper || p.advised) {
+      return std::nullopt;
+    }
+    if (!common) {
       common = p.cfg;
-      first = false;
-    } else if (!(p.cfg == common)) {
-      return false;
+    } else if (!(*common == p.cfg)) {
+      return std::nullopt;
     }
   }
-  return true;
+  return common;
 }
 
-bool ProcessRunner::vs_stable_now() const {
-  if (!converged_now()) return false;
+bool ProcessRunner::vs_stable_now(const Fleet& f) {
+  if (!common_config(f)) return false;
   bool any = false;
   bool first = true;
   std::uint64_t view = 0;
   NodeId crd = kNoNode;
-  for (NodeId id : alive()) {
-    const Proc& p = procs_.at(id);
+  for (const auto& [id, p] : f.procs) {
+    (void)id;
+    if (!p.alive) continue;
     if (!p.sampled || !p.has_vs) return false;
     if (!p.participant) continue;  // joiners sync up after installation
     if (!p.vs_multicast || p.vs_null || p.vs_no_crd) return false;
@@ -166,6 +161,24 @@ bool ProcessRunner::vs_stable_now() const {
   return any;
 }
 
+bool ProcessRunner::stalled(const Fleet& f) {
+  bool any = false;
+  for (const auto& [id, p] : f.procs) {
+    (void)id;
+    if (!p.alive) continue;
+    if (!p.paused) return false;
+    any = true;
+  }
+  return any;
+}
+
+bool ProcessRunner::converged_sampled() const {
+  for (const Fleet& f : fleets_) {
+    if (!skipped(f) && !common_config(f)) return false;
+  }
+  return true;
+}
+
 void ProcessRunner::fail(const Action& a, const std::string& detail) {
   if (failed_) return;
   failed_ = true;
@@ -174,27 +187,36 @@ void ProcessRunner::fail(const Action& a, const std::string& detail) {
   failure_ = os.str();
 }
 
+void ProcessRunner::fail_node(const Fleet& f, NodeId id,
+                              const std::string& what) {
+  if (failed_) return;
+  failed_ = true;
+  failure_ = (fleets_.size() > 1 ? f.name + ": " : std::string()) + "node " +
+             std::to_string(id) + " " + what;
+}
+
 // -- Process management ------------------------------------------------------
 
-void ProcessRunner::write_cohort_peer_map() {
+void ProcessRunner::write_cohort_peer_map(const Fleet& f) {
   // Atomic rewrite (tmp + rename): daemons re-read this file while any of
   // their entries still shows port 0.
-  const std::string path = dir_ + "/peers.txt";
+  const std::string path = f.dir + "/peers.txt";
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp);
-    for (const auto& [id, p] : procs_) {
+    for (const auto& [id, p] : f.procs) {
       out << id << " 127.0.0.1 " << p.data_port << "\n";
     }
   }
   std::rename(tmp.c_str(), path.c_str());
 }
 
-void ProcessRunner::spawn(NodeId id, const std::string& peers_path) {
-  Proc& p = procs_[id];
-  const std::string port_file = dir_ + "/port." + std::to_string(id);
+void ProcessRunner::spawn(Fleet& f, NodeId id, const std::string& peers_path) {
+  Proc& p = f.procs[id];
+  const std::string port_file = f.dir + "/port." + std::to_string(id);
   std::remove(port_file.c_str());
-  const std::string log_file = dir_ + "/node-" + std::to_string(id) + ".log";
+  const std::string log_file =
+      f.dir + "/node-" + std::to_string(id) + ".log";
 
   std::vector<std::string> args = {
       opt_.node_binary,
@@ -204,14 +226,15 @@ void ProcessRunner::spawn(NodeId id, const std::string& peers_path) {
       "--seconds", std::to_string(opt_.node_seconds),
       "--tick-us", std::to_string(opt_.tick_us),
       "--seed",
-      std::to_string((opt_.seed + 0x9E3779B97F4A7C15ULL) * 1000003ULL + id),
+      std::to_string((f.seed + 0x9E3779B97F4A7C15ULL) * 1000003ULL + id),
   };
-  if (opt_.shard != 0) {
+  if (f.tag != 0) {
     args.push_back("--shard");
-    args.push_back(std::to_string(opt_.shard));
+    args.push_back(std::to_string(f.tag));
   }
   if (spec_.enable_vs) args.push_back("--vs");
   if (spec_.aggressive_policy) args.push_back("--aggressive");
+  if (spec_.adopt_joiners) args.push_back("--adopt-joiners");
   if (spec_.exhaust_bound != 0) {
     args.push_back("--exhaust-bound");
     args.push_back(std::to_string(spec_.exhaust_bound));
@@ -243,9 +266,9 @@ void ProcessRunner::spawn(NodeId id, const std::string& peers_path) {
   p.ops_harvested = 0;
 }
 
-bool ProcessRunner::collect_ports(NodeId id) {
-  Proc& p = procs_[id];
-  const std::string port_file = dir_ + "/port." + std::to_string(id);
+bool ProcessRunner::collect_ports(Fleet& f, NodeId id) {
+  Proc& p = f.procs[id];
+  const std::string port_file = f.dir + "/port." + std::to_string(id);
   const SimTime deadline = now() + 15 * kSec;
   while (now() < deadline) {
     std::ifstream in(port_file);
@@ -266,47 +289,43 @@ bool ProcessRunner::collect_ports(NodeId id) {
   return false;
 }
 
-NodeId ProcessRunner::spawn_fresh_node() {
-  const NodeId id = next_id_++;
+NodeId ProcessRunner::spawn_fresh_node(Fleet& f) {
+  const NodeId id = f.next_id++;
   // A late joiner gets its own map: every current cohort member with its
   // real port, plus itself at port 0 (bind-and-discover). Existing nodes
   // learn the newcomer's address from its first well-formed datagram.
-  std::string peers_path = dir_ + "/peers." + std::to_string(id) + ".txt";
+  std::string peers_path = f.dir + "/peers." + std::to_string(id) + ".txt";
   {
     std::ofstream out(peers_path);
-    for (const auto& [other, p] : procs_) {
+    for (const auto& [other, p] : f.procs) {
       if (p.alive) out << other << " 127.0.0.1 " << p.data_port << "\n";
     }
     out << id << " 127.0.0.1 0\n";
   }
-  spawn(id, peers_path);
-  trace_.record(TraceKind::kNodeAdded, id);
-  if (!collect_ports(id)) {
-    Action dummy;
-    dummy.kind = ActionKind::kAddNodes;
-    fail(dummy, "node " + std::to_string(id) + " failed to start");
-  }
+  spawn(f, id, peers_path);
+  f.trace.record(TraceKind::kNodeAdded, id);
+  if (!collect_ports(f, id)) fail_node(f, id, "failed to start");
   return id;
 }
 
-void ProcessRunner::kill_node(NodeId id) {
-  auto it = procs_.find(id);
-  if (it == procs_.end() || !it->second.alive) return;
+void ProcessRunner::kill_node(Fleet& f, NodeId id) {
+  auto it = f.procs.find(id);
+  if (it == f.procs.end() || !it->second.alive) return;
   Proc& p = it->second;
   // Completed operations die with the process; pull them first so the
   // counter-order record stays complete.
-  if (!p.paused) harvest_ops_from(id, p);
+  if (!p.paused) harvest_ops_from(f, id, p);
   ::kill(p.pid, SIGKILL);  // kills stopped processes too
   int status = 0;
   ::waitpid(p.pid, &status, 0);
   p.pid = -1;
   p.alive = false;
-  trace_.record(TraceKind::kNodeCrashed, id);
+  f.trace.record(TraceKind::kNodeCrashed, id);
 }
 
 // -- Sampling ----------------------------------------------------------------
 
-bool ProcessRunner::sample_node(NodeId id, Proc& p) {
+bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
   auto reply = client_.request(p.ctl_port, "STATUS", 250, 2);
   if (!reply) {
     // Unreachable: either mid-GC busy (retry next round) or dead. Only an
@@ -316,8 +335,7 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
     if (p.pid > 0 && ::waitpid(p.pid, &status, WNOHANG) == p.pid) {
       p.pid = -1;
       p.alive = false;
-      failed_ = true;
-      failure_ = "node " + std::to_string(id) + " exited unexpectedly";
+      fail_node(f, id, "exited unexpectedly");
     }
     return false;
   }
@@ -326,6 +344,7 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
   const std::uint64_t changes = parse_u64(kv, "cfgchanges");
   p.noreco = parse_u64(kv, "noreco") != 0;
   p.participant = parse_u64(kv, "part") != 0;
+  p.advised = parse_u64(kv, "adv") != 0;
   const auto cfg_it = kv.find("cfg");
   IdSet cfg;
   if (cfg_it != kv.end() && cfg_it->second != "-") {
@@ -351,7 +370,7 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
     p.vs_view_digest = parse_u64(kv, "vsview");
   }
 
-  const std::uint64_t new_digest = digest_ids(p.cfg);
+  const std::uint64_t new_digest = TraceRecorder::digest(p.cfg);
   if (p.sampled && changes > p.cfgchanges) {
     // The daemon reconfigured since the last sample. The count is exact
     // (the daemon counts every change handler fire); the *values* are
@@ -359,15 +378,15 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
     // believed configuration at the sample instant.
     const std::uint64_t delta = changes - p.cfgchanges;
     for (std::uint64_t i = 0; i < delta; ++i) {
-      registry_->config_history().record(
+      f.registry->config_history().record(
           now(), id,
           p.cfg_proper ? reconf::ConfigValue::set(p.cfg)
                        : reconf::ConfigValue::bottom());
     }
-    trace_.record(TraceKind::kConfigChange, id, new_digest, delta);
+    f.trace.record(TraceKind::kConfigChange, id, new_digest, delta);
   } else if (!p.sampled || new_digest != p.cfg_digest) {
-    trace_.record(TraceKind::kNodeSample, id, new_digest,
-                  (p.noreco ? 2u : 0u) | (p.participant ? 1u : 0u));
+    f.trace.record(TraceKind::kNodeSample, id, new_digest,
+                   (p.noreco ? 2u : 0u) | (p.participant ? 1u : 0u));
   }
   p.cfgchanges = changes;
   p.cfg_digest = new_digest;
@@ -377,15 +396,17 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
 
 bool ProcessRunner::sample_all() {
   bool all = true;
-  for (auto& [id, p] : procs_) {
-    if (!p.alive || p.paused) continue;
-    all = sample_node(id, p) && all;
-    if (failed_) return false;
+  for (Fleet& f : fleets_) {
+    for (auto& [id, p] : f.procs) {
+      if (!p.alive || p.paused) continue;
+      all = sample_node(f, id, p) && all;
+      if (failed_) return false;
+    }
   }
   return all;
 }
 
-void ProcessRunner::harvest_ops_from(NodeId id, Proc& p) {
+void ProcessRunner::harvest_ops_from(Fleet& f, NodeId id, Proc& p) {
   // Paged pull: every reply carries ops starting at our cursor plus the
   // daemon's total. The cursor only moves past fully validated ops, so a
   // truncated or garbled reply is refetched on the next harvest instead of
@@ -418,9 +439,9 @@ void ProcessRunner::harvest_ops_from(NodeId id, Proc& p) {
       wire::Reader r(*blob);
       auto c = counter::Counter::decode(r);
       if (!c || !r.ok()) return;
-      registry_->counter_order().record(started, finished, *c);
-      if (finished >= started) op_latency_.record(finished - started);
-      trace_.record(TraceKind::kIncrementDone, id, 1, c->seqn);
+      f.registry->counter_order().record(started, finished, *c);
+      if (finished >= started) f.op_latency.record(finished - started);
+      f.trace.record(TraceKind::kIncrementDone, id, 1, c->seqn);
       ++p.ops_harvested;
       progressed = true;
     }
@@ -429,16 +450,18 @@ void ProcessRunner::harvest_ops_from(NodeId id, Proc& p) {
 }
 
 void ProcessRunner::harvest_ops() {
-  for (auto& [id, p] : procs_) {
-    if (p.alive && !p.paused) harvest_ops_from(id, p);
+  for (Fleet& f : fleets_) {
+    for (auto& [id, p] : f.procs) {
+      if (p.alive && !p.paused) harvest_ops_from(f, id, p);
+    }
   }
 }
 
 // -- Control helpers ---------------------------------------------------------
 
-void ProcessRunner::control_or_fail(const Action& a, NodeId id,
+void ProcessRunner::control_or_fail(Fleet& f, const Action& a, NodeId id,
                                     const std::string& cmd) {
-  auto& p = procs_.at(id);
+  auto& p = f.procs.at(id);
   auto reply = client_.request(p.ctl_port, cmd);
   if (!reply) {
     fail(a, "node " + std::to_string(id) + " unreachable for '" + cmd + "'");
@@ -450,23 +473,25 @@ void ProcessRunner::control_or_fail(const Action& a, NodeId id,
   }
 }
 
-void ProcessRunner::send_blocked_sets(const IdSet& touched) {
+void ProcessRunner::send_blocked_sets(Fleet& f, const IdSet& touched) {
   Action a;
   a.kind = ActionKind::kSplitNetwork;
   for (NodeId id : touched) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, "BLOCK " + ctl::format_ids(blocked_[id]));
+    auto it = f.procs.find(id);
+    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
+      continue;
+    }
+    control_or_fail(f, a, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
   }
 }
 
-void ProcessRunner::do_garbage(std::uint64_t per_node) {
+void ProcessRunner::do_garbage(const Fleet& f, std::uint64_t per_node) {
   // OS-level channel garbage: raw junk datagrams straight at every node's
   // data socket — no cooperation from the daemon at all.
   const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (raw < 0) return;
-  Rng rng(opt_.seed ^ 0x6A12BA6EULL);
-  for (const auto& [id, p] : procs_) {
+  Rng rng(f.seed ^ 0x6A12BA6EULL);
+  for (const auto& [id, p] : f.procs) {
     if (!p.alive) continue;
     sockaddr_in to{};
     to.sin_family = AF_INET;
@@ -491,53 +516,47 @@ bool ProcessRunner::bootstrap() {
   bootstrapped_ = true;
   ran_ = true;  // the destructor's keep-the-scratch-dir logic keys on this
 
-  // Bootstrap cohort: spawn everyone against a placeholder map (all ports
-  // 0), then publish the real ports in one atomic rewrite. The daemons
-  // poll the map until their view has no port-0 entries left.
-  for (std::size_t i = 0; i < spec_.initial_nodes; ++i) {
-    const NodeId id = next_id_++;
-    procs_[id];  // placeholder so the shared map lists the whole cohort
-  }
-  {
-    const std::string path = dir_ + "/peers.txt";
-    std::ofstream out(path);
-    for (const auto& [id, p] : procs_) {
+  // Every fleet's cohort is spawned up front; from here on the fleets all
+  // run concurrently in real time and one loop samples them.
+  for (Fleet& f : fleets_) {
+    // Spawn everyone against a placeholder map (all ports 0), then
+    // publish the real ports in one atomic rewrite. The daemons poll the
+    // map until their view has no port-0 entries left.
+    for (std::size_t i = 0; i < spec_.initial_nodes; ++i) {
+      f.procs[f.next_id++];  // placeholder so the map lists the cohort
+    }
+    {
+      std::ofstream out(f.dir + "/peers.txt");
+      for (const auto& [id, p] : f.procs) {
+        (void)p;
+        out << id << " 127.0.0.1 0\n";
+      }
+    }
+    for (auto& [id, p] : f.procs) {
       (void)p;
-      out << id << " 127.0.0.1 0\n";
+      spawn(f, id, f.dir + "/peers.txt");
+      f.trace.record(TraceKind::kNodeAdded, id);
     }
-  }
-  for (auto& [id, p] : procs_) {
-    (void)p;
-    spawn(id, dir_ + "/peers.txt");
-    trace_.record(TraceKind::kNodeAdded, id);
-  }
-  for (auto& [id, p] : procs_) {
-    (void)p;
-    if (!collect_ports(id)) {
-      failed_ = true;
-      failure_ = "node " + std::to_string(id) + " failed to start";
-      break;
+    for (auto& [id, p] : f.procs) {
+      (void)p;
+      if (!collect_ports(f, id)) {
+        fail_node(f, id, "failed to start");
+        break;
+      }
     }
+    if (failed_) break;
+    write_cohort_peer_map(f);
   }
-  if (!failed_) write_cohort_peer_map();
   return !failed_;
 }
 
 void ProcessRunner::step(const Action& a) {
   if (failed_) return;
-  trace_.record(TraceKind::kActionApplied, kNoNode,
-                static_cast<std::uint64_t>(a.kind), digest_action(a));
-  apply(a);
-}
-
-IdSet ProcessRunner::routing_config() const {
-  if (converged_now()) {
-    for (const auto& [id, p] : procs_) {
-      (void)id;
-      if (p.alive && p.sampled) return p.cfg;
-    }
+  for (Fleet& f : fleets_) {
+    f.trace.record(TraceKind::kActionApplied, kNoNode,
+                   static_cast<std::uint64_t>(a.kind), a.digest());
   }
-  return alive();
+  apply(a);
 }
 
 ScenarioResult ProcessRunner::run() {
@@ -547,32 +566,29 @@ ScenarioResult ProcessRunner::run() {
   bootstrap();
   for (const Phase& phase : spec_.phases) {
     if (failed_) break;
-    trace_.record(TraceKind::kPhaseStart, kNoNode, digest_name(phase.name));
+    for (Fleet& f : fleets_) {
+      f.trace.record(TraceKind::kPhaseStart, kNoNode,
+                     TraceRecorder::digest(phase.name));
+    }
     for (const Action& a : phase.actions) step(a);
   }
   return finish();
 }
 
-ScenarioResult ProcessRunner::finish() {
-  harvest_ops();
-
+ScenarioResult ProcessRunner::fleet_result(const Fleet& f) const {
   ScenarioResult r;
-  r.name = spec_.name;
+  r.name = f.name;
   r.seed = opt_.seed;
-  r.failure = failure_;
-  r.violations = registry_->check_all();
-  r.ok = !failed_ && r.violations.empty();
-  // Any failure — missed await OR invariant violation — must keep the
-  // scratch directory: the destructor keys on failed_.
-  if (!r.ok) failed_ = true;
-  r.trace_hash = trace_.hash();
-  r.trace_events = trace_.size();
+  r.violations = f.registry->check_all();
+  r.ok = r.violations.empty();
+  r.trace_hash = f.trace.hash();
+  r.trace_events = f.trace.size();
   r.sim_time = now();
-  r.ops_completed = op_latency_.count();
-  r.op_p50_us = op_latency_.percentile(50);
-  r.op_p99_us = op_latency_.percentile(99);
-  r.op_latency = op_latency_;
-  for (const auto& [id, p] : procs_) {
+  r.ops_completed = f.op_latency.count();
+  r.op_p50_us = f.op_latency.percentile(50);
+  r.op_p99_us = f.op_latency.percentile(99);
+  r.op_latency = f.op_latency;
+  for (const auto& [id, p] : f.procs) {
     (void)id;
     r.packets_sent += p.sent;
     r.packets_delivered += p.recv;
@@ -582,104 +598,134 @@ ScenarioResult ProcessRunner::finish() {
   return r;
 }
 
+ScenarioResult ProcessRunner::finish() {
+  harvest_ops();
+
+  ScenarioResult r;
+  if (fleets_.size() == 1) {
+    r = fleet_result(fleets_.front());
+  } else {
+    for (const Fleet& f : fleets_) r.fleets.push_back(fleet_result(f));
+    r.name = spec_.name;
+    r.seed = opt_.seed;
+    r.fold_fleets();
+  }
+  r.failure = failure_;
+  r.ok = !failed_ && r.violations.empty();
+  keyed_.report(r);
+  // Any failure — missed await OR invariant violation — must keep the
+  // scratch directory: the destructor keys on failed_.
+  if (!r.ok) failed_ = true;
+  return r;
+}
+
 void ProcessRunner::apply(const Action& a) {
+  // A queued map growth lands lazily inside the next keyed workload; any
+  // other action materializes it up front.
+  if (a.kind != ActionKind::kKeyedIncrements &&
+      a.kind != ActionKind::kGrowMap) {
+    keyed_.adopt_queued_growth();
+  }
+  SSR_ASSERT(a.shard < fleets_.size(), "action aimed past the last fleet");
+  Fleet& f = fleets_[a.shard];
+  InvariantRegistry& registry = *f.registry;
   switch (a.kind) {
     case ActionKind::kAddNodes: {
-      registry_->unmark_stable();
-      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) spawn_fresh_node();
+      registry.unmark_stable();
+      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) spawn_fresh_node(f);
       return;
     }
     case ActionKind::kCrash: {
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) kill_node(id);
+      registry.unmark_stable();
+      for (NodeId id : a.targets) kill_node(f, id);
       return;
     }
     case ActionKind::kReboot: {
-      registry_->unmark_stable();
+      registry.unmark_stable();
       // Identifiers are never reused (paper, Section 2): a reboot is a
       // crash-stop plus a fresh processor taking the slot.
       for (NodeId id : a.targets) {
-        kill_node(id);
-        if (!failed_) spawn_fresh_node();
+        kill_node(f, id);
+        if (!failed_) spawn_fresh_node(f);
       }
       return;
     }
     case ActionKind::kSplitNetwork: {
-      registry_->unmark_stable();
+      registry.unmark_stable();
       for (NodeId x : a.targets) {
         for (NodeId y : a.group_b) {
           if (x == y) continue;
-          blocked_[x].insert(y);
-          blocked_[y].insert(x);
+          f.blocked[x].insert(y);
+          f.blocked[y].insert(x);
         }
       }
       IdSet touched = a.targets;
       for (NodeId y : a.group_b) touched.insert(y);
-      send_blocked_sets(touched);
+      send_blocked_sets(f, touched);
       return;
     }
     case ActionKind::kHealNetwork: {
       IdSet touched;
-      for (auto& [id, set] : blocked_) {
+      for (auto& [id, set] : f.blocked) {
         if (!set.empty()) touched.insert(id);
         set = IdSet{};
       }
-      send_blocked_sets(touched);
+      send_blocked_sets(f, touched);
       return;
     }
     case ActionKind::kCorruptRecsa:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) {
-        control_or_fail(a, id, "CORRUPT recsa");
+      registry.unmark_stable();
+      for (NodeId id : targets_or_alive(f, a)) {
+        control_or_fail(f, a, id, "CORRUPT recsa");
       }
       return;
     case ActionKind::kCorruptFd:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) {
-        control_or_fail(a, id, "CORRUPT fd");
+      registry.unmark_stable();
+      for (NodeId id : targets_or_alive(f, a)) {
+        control_or_fail(f, a, id, "CORRUPT fd");
       }
       return;
     case ActionKind::kSplitConfigState: {
-      registry_->unmark_stable();
+      registry.unmark_stable();
       // Mirrors harness::FaultInjector::split_config: the first half of the
       // alive set (in id order) believes `targets`, the rest believe
       // `group_b`.
-      const IdSet all = alive();
+      const IdSet all = alive(f);
       std::size_t i = 0;
       for (NodeId id : all) {
         const bool first_half = i < all.size() / 2;
         const IdSet& mine = first_half ? a.targets : a.group_b;
-        control_or_fail(a, id, "CONF " + ctl::format_ids(mine));
+        control_or_fail(f, a, id, "CONF " + ctl::format_ids(mine));
         ++i;
       }
       return;
     }
     case ActionKind::kGarbageChannels:
-      registry_->unmark_stable();
-      do_garbage(a.n);
+      registry.unmark_stable();
+      do_garbage(f, a.n);
       return;
     case ActionKind::kPlantExhaustedCounter:
-      registry_->unmark_stable();
+      registry.unmark_stable();
       for (NodeId id : a.targets) {
-        control_or_fail(a, id, "PLANT_CTR " + std::to_string(a.n));
+        control_or_fail(f, a, id, "PLANT_CTR " + std::to_string(a.n));
       }
       return;
     case ActionKind::kPlantRecmaFlags:
-      registry_->unmark_stable();
+      registry.unmark_stable();
       for (NodeId id : a.targets) {
-        control_or_fail(a, id,
+        control_or_fail(f, a, id,
                         std::string("RECMA ") + ((a.n & 1) ? "1" : "0") + " " +
                             ((a.n & 2) ? "1" : "0"));
       }
       return;
     case ActionKind::kIncrementBurst:
-      do_increment_burst(a);
+      do_increment_burst(f, a);
       return;
     case ActionKind::kShmemWrite:
-      do_shmem(a, /*write=*/true);
+      do_shmem(f, a, /*write=*/true);
       return;
     case ActionKind::kShmemRead:
-      do_shmem(a, /*write=*/false);
+      do_shmem(f, a, /*write=*/false);
       return;
     case ActionKind::kRunFor: {
       const SimTime deadline = now() + scaled(a.duration);
@@ -690,12 +736,16 @@ void ProcessRunner::apply(const Action& a) {
       return;
     }
     case ActionKind::kAwaitConverged: {
-      if (!await(await_budget(a.duration), [&] { return converged_now(); })) {
+      if (!await(await_budget(a.duration),
+                 [&] { return converged_sampled(); })) {
         if (!failed_) fail(a, "no convergence within the time budget");
         return;
       }
-      trace_.record(TraceKind::kConverged, kNoNode,
-                    digest_ids(procs_.at(*alive().begin()).cfg));
+      for (Fleet& g : fleets_) {
+        if (skipped(g)) continue;
+        g.trace.record(TraceKind::kConverged, kNoNode,
+                       TraceRecorder::digest(*common_config(g)));
+      }
       return;
     }
     case ActionKind::kAwaitVsStable: {
@@ -703,18 +753,18 @@ void ProcessRunner::apply(const Action& a) {
         fail(a, "await_vs_stable needs enable_vs in the spec");
         return;
       }
-      if (!await(await_budget(a.duration), [&] { return vs_stable_now(); })) {
+      if (!await(await_budget(a.duration), [&] { return vs_stable_now(f); })) {
         if (!failed_) fail(a, "VS layer did not stabilize");
         return;
       }
-      trace_.record(TraceKind::kVsStable, kNoNode);
+      f.trace.record(TraceKind::kVsStable, kNoNode);
       return;
     }
     case ActionKind::kAwaitParticipants: {
       auto all_part = [&] {
         for (NodeId id : a.targets) {
-          auto it = procs_.find(id);
-          if (it == procs_.end() || !it->second.alive ||
+          auto it = f.procs.find(id);
+          if (it == f.procs.end() || !it->second.alive ||
               !it->second.sampled || !it->second.participant) {
             return false;
           }
@@ -728,12 +778,8 @@ void ProcessRunner::apply(const Action& a) {
     }
     case ActionKind::kAwaitConfigEqualsAlive: {
       auto caught_up = [&] {
-        const IdSet live = alive();
-        for (NodeId id : live) {
-          const Proc& p = procs_.at(id);
-          if (!p.sampled || !p.cfg_proper || !(p.cfg == live)) return false;
-        }
-        return !live.empty();
+        const auto c = common_config(f);
+        return c && *c == alive(f);
       };
       if (!await(await_budget(a.duration), caught_up) && !failed_) {
         fail(a, "configuration did not catch up with the alive set");
@@ -749,69 +795,79 @@ void ProcessRunner::apply(const Action& a) {
       for (int lap = 0; lap < 20 && !sample_all() && !failed_; ++lap) {
         step_sleep();
       }
-      registry_->mark_stable();
-      trace_.record(TraceKind::kStableMarked, kNoNode);
+      for (Fleet& g : fleets_) {
+        if (skipped(g)) continue;
+        g.registry->mark_stable();
+        g.trace.record(TraceKind::kStableMarked, kNoNode);
+      }
       return;
     }
     case ActionKind::kCrashAll: {
-      registry_->unmark_stable();
-      for (NodeId id : alive()) kill_node(id);
+      registry.unmark_stable();
+      for (NodeId id : alive(f)) kill_node(f, id);
       return;
     }
     case ActionKind::kAwaitQuiescent: {
-      if (!alive().empty()) {
-        registry_->report("silence", false,
-                          "await_quiescent requires every node crashed first");
+      if (!alive(f).empty()) {
+        registry.report("silence", false,
+                        "await_quiescent requires every node crashed first");
         return;
       }
       // Process-level quiescence is an OS triviality (the processes are
       // gone); the event-level drain check is a simulator property. Record
       // the teardown point so traces stay comparable.
-      trace_.record(TraceKind::kQuiescent, kNoNode, 1);
+      f.trace.record(TraceKind::kQuiescent, kNoNode, 1);
       return;
     }
     case ActionKind::kPauseNodes: {
-      registry_->unmark_stable();
+      registry.unmark_stable();
       for (NodeId id : a.targets) {
-        auto it = procs_.find(id);
-        if (it == procs_.end() || !it->second.alive) continue;
+        auto it = f.procs.find(id);
+        if (it == f.procs.end() || !it->second.alive) continue;
         // Harvest first: a stopped process cannot answer OPS, and it may
         // be SIGKILLed before ever resuming.
-        harvest_ops_from(id, it->second);
+        harvest_ops_from(f, id, it->second);
         ::kill(it->second.pid, SIGSTOP);
         it->second.paused = true;
-        trace_.record(TraceKind::kNodePaused, id);
+        f.trace.record(TraceKind::kNodePaused, id);
       }
       return;
     }
     case ActionKind::kResumeNodes: {
       for (NodeId id : a.targets) {
-        auto it = procs_.find(id);
-        if (it == procs_.end() || !it->second.alive || !it->second.paused) {
+        auto it = f.procs.find(id);
+        if (it == f.procs.end() || !it->second.alive || !it->second.paused) {
           continue;
         }
         ::kill(it->second.pid, SIGCONT);
         it->second.paused = false;
-        trace_.record(TraceKind::kNodeResumed, id);
+        f.trace.record(TraceKind::kNodeResumed, id);
         // Peer-filter updates (splits/heals) that happened while the node
         // was stopped were never delivered; reinstall the current set.
-        control_or_fail(a, id, "BLOCK " + ctl::format_ids(blocked_[id]));
+        control_or_fail(f, a, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
         // And sample immediately, so state from before the pause cannot be
         // attributed into a closure window opened later.
-        sample_node(id, it->second);
+        sample_node(f, id, it->second);
       }
       return;
     }
+    case ActionKind::kKeyedIncrements:
+      do_keyed_increments(a);
+      return;
+    case ActionKind::kGrowMap:
+      if (!keyed_.queue_growth()) fail(a, "the map already spans every fleet");
+      return;
   }
 }
 
-void ProcessRunner::do_increment_burst(const Action& a) {
-  const IdSet clients = targets_or_alive(a);
+void ProcessRunner::do_increment_burst(Fleet& f, const Action& a) {
   IdSet queued;
-  for (NodeId id : clients) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, "INC " + std::to_string(a.n));
+  for (NodeId id : targets_or_alive(f, a)) {
+    auto it = f.procs.find(id);
+    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
+      continue;
+    }
+    control_or_fail(f, a, id, "INC " + std::to_string(a.n));
     if (failed_) return;
     queued.insert(id);
   }
@@ -822,7 +878,7 @@ void ProcessRunner::do_increment_burst(const Action& a) {
   const SimTime budget = await_budget(120 * kSec * (a.n == 0 ? 1 : a.n));
   await(budget, [&] {
     for (NodeId id : queued) {
-      const Proc& p = procs_.at(id);
+      const Proc& p = f.procs.at(id);
       if (p.alive && !p.paused && (!p.sampled || p.incq != 0)) return false;
     }
     return true;
@@ -830,7 +886,30 @@ void ProcessRunner::do_increment_burst(const Action& a) {
   harvest_ops();
 }
 
-void ProcessRunner::do_shmem(const Action& a, bool write) {
+void ProcessRunner::do_keyed_increments(const Action& a) {
+  KeyedWorkload::Fleets fleets;
+  fleets.membership = [this](std::uint32_t s) {
+    const Fleet& f = fleets_[s];
+    return common_config(f).value_or(alive(f));
+  };
+  // One routed attempt is one single-op burst on the target. A paused or
+  // crashed target is skipped by the burst, so its await is instant and
+  // the fleet's harvested-op count stays put: the router rotates on. An op
+  // that straggles past the burst's drain budget gets credited to a later
+  // attempt on the same fleet; both ops did complete there, which is what
+  // the isolation ledger measures.
+  fleets.attempt = [this](std::uint32_t s, NodeId target) {
+    Fleet& f = fleets_[s];
+    const std::uint64_t before = f.op_latency.count();
+    do_increment_burst(f, Action::increment_burst(1, {target}));
+    return f.op_latency.count() > before;
+  };
+  fleets.stalled = [this](std::uint32_t s) { return stalled(fleets_[s]); };
+  fleets.failed = [this] { return failed_; };
+  keyed_.run(a, fleets);
+}
+
+void ProcessRunner::do_shmem(Fleet& f, const Action& a, bool write) {
   std::string cmd;
   if (write) {
     cmd = "SHMEMW " + a.reg + " " + std::to_string(a.n);
@@ -838,24 +917,26 @@ void ProcessRunner::do_shmem(const Action& a, bool write) {
     cmd = "SHMEMR " + a.reg;
   }
   IdSet queued;
-  for (NodeId id : targets_or_alive(a)) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, cmd);
+  for (NodeId id : targets_or_alive(f, a)) {
+    auto it = f.procs.find(id);
+    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
+      continue;
+    }
+    control_or_fail(f, a, id, cmd);
     if (failed_) return;
     queued.insert(id);
   }
   await(await_budget(160 * kSec), [&] {
     for (NodeId id : queued) {
-      const Proc& p = procs_.at(id);
+      const Proc& p = f.procs.at(id);
       if (p.alive && !p.paused && (!p.sampled || p.shmq != 0)) return false;
     }
     return true;
   });
   for (NodeId id : queued) {
-    const Proc& p = procs_.at(id);
-    trace_.record(TraceKind::kShmemOpDone, id,
-                  (p.sampled && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
+    const Proc& p = f.procs.at(id);
+    f.trace.record(TraceKind::kShmemOpDone, id,
+                   (p.sampled && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
   }
 }
 

@@ -13,6 +13,8 @@
 //   channel garbage     raw junk datagrams fired at every node's data port
 //   state corruption    CORRUPT/CONF/PLANT_CTR/RECMA control commands
 //   workload            INC/SHMEMW/SHMEMR control commands
+//   keyed workload      one single-op INC per routed attempt; it completed
+//                       iff the fleet's harvested-op count moved
 //
 // Node state is sampled over the control socket into the same TraceRecorder
 // the simulator uses, and the same InvariantRegistry checks evaluate at the
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +42,8 @@ struct ProcessBackendOptions {
   std::string node_binary;
   /// Scratch directory for peer maps, port files and per-node logs; empty =
   /// a fresh mkdtemp under TMPDIR. Kept on failure (CI uploads it), removed
-  /// on success unless keep_dir.
+  /// on success unless keep_dir. With more than one fleet, fleet s lives in
+  /// its "shard<s>" subdirectory.
   std::string work_dir;
   bool keep_dir = false;
   /// Wall-clock seconds per simulated second for durations in the spec.
@@ -49,7 +53,7 @@ struct ProcessBackendOptions {
   /// Floor for await budgets after scaling (process startup + real
   /// convergence time dominate short awaits).
   SimTime min_await = 30 * kSec;
-  /// Forwarded into the daemons' RNG seeds (per-node mixed).
+  /// Forwarded into the daemons' RNG seeds (per-fleet and per-node mixed).
   std::uint64_t seed = 1;
   /// --seconds passed to every daemon: a self-destruct horizon so orphans
   /// die even if the runner is SIGKILLed mid-scenario.
@@ -57,15 +61,19 @@ struct ProcessBackendOptions {
   /// Daemon do-forever tick (µs); smaller than the daemon's standalone
   /// default to keep scaled scenarios snappy.
   std::uint64_t tick_us = 2000;
-  /// Shard tag for the whole fleet: forwarded to every daemon as --shard,
-  /// stamped into the UDP envelopes and checked on receive. Disjoint
-  /// fleets on one host cannot leak protocol traffic into each other even
-  /// with overlapping node ids (see UdpTransportConfig::shard).
-  std::uint32_t shard = 0;
 };
 
-/// ScenarioBackend over real processes. One runner instance runs one spec
-/// once; the destructor reaps every child it spawned.
+/// ScenarioBackend over real processes: one ssr_node fleet per
+/// ScenarioSpec::shards, all running concurrently in real time and sampled
+/// by one control loop. With more than one fleet, fleet s stamps shard tag
+/// s+1 into its UDP envelopes (0 is the untagged default), so disjoint
+/// fleets on one host cannot leak protocol traffic into each other even
+/// with overlapping node ids. One runner instance runs one spec once; the
+/// destructor reaps every child it spawned.
+///
+/// Threading: deliberately single-threaded. Fleets are separate OS
+/// processes driven round-robin from one loop, so there is no shared
+/// in-process state to guard.
 class ProcessRunner final : public ScenarioBackend {
  public:
   ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt);
@@ -75,38 +83,34 @@ class ProcessRunner final : public ScenarioBackend {
   ProcessRunner& operator=(const ProcessRunner&) = delete;
 
   ScenarioResult run() override;
-  TraceRecorder& trace() override { return trace_; }
-  InvariantRegistry& invariants() override { return *registry_; }
+  /// Fleet 0's trace and registry (the only ones of a one-fleet spec).
+  TraceRecorder& trace() override { return fleets_.front().trace; }
+  InvariantRegistry& invariants() override {
+    return *fleets_.front().registry;
+  }
 
   const std::string& work_dir() const { return dir_; }
 
-  // -- Multi-fleet driving (shard::ShardedProcessRunner) ---------------------
-  // The three stages of run(), exposed so a driver owning several fleets can
-  // interleave their scripts: run() is exactly bootstrap(), then every phase
-  // action through step(), then finish().
+  // -- Staged driving ---------------------------------------------------------
+  // run() is exactly bootstrap(), then every phase action through step(),
+  // then finish(); a caller that times its own stretches calls them itself.
 
-  /// Spawns the initial cohort and publishes the port map. Returns false
-  /// (with the failure recorded) when any daemon failed to start.
+  /// Spawns every fleet's initial cohort and publishes the port maps.
+  /// Returns false (with the failure recorded) when a daemon failed to
+  /// start.
   bool bootstrap();
-  /// Applies one action; records it in the trace first. No-op once failed.
+  /// Applies one action; records it in the traces first. No-op once failed.
   void step(const Action& a);
   /// Final harvest + invariant evaluation; call once, after the last step.
   ScenarioResult finish();
 
   bool failed() const { return failed_; }
   const std::string& failure() const { return failure_; }
-  /// Completed client ops harvested so far — a driver diffs this across a
-  /// step() to judge whether one routed attempt completed.
-  std::uint64_t ops_completed() const { return op_latency_.count(); }
-  /// Ids of the currently alive daemons.
-  IdSet alive_ids() const { return alive(); }
   /// One sampling round; true when every polled daemon answered.
   bool sample() { return sample_all(); }
-  /// The converged() predicate over the latest samples (no new sampling).
-  bool converged_sampled() const { return converged_now(); }
-  /// Latest believed membership for client routing: the common sampled
-  /// configuration when the fleet agrees on one, else the alive set.
-  IdSet routing_config() const;
+  /// The await_converged predicate over the latest samples (no new
+  /// sampling).
+  bool converged_sampled() const;
 
  private:
   struct Proc {
@@ -120,6 +124,8 @@ class ProcessRunner final : public ScenarioBackend {
     bool noreco = false;
     bool participant = false;
     bool cfg_proper = false;
+    /// The prediction policy advises reconfiguring `cfg` (STATUS adv=).
+    bool advised = false;
     IdSet cfg;
     std::uint64_t cfg_digest = 0;
     std::uint64_t cfgchanges = 0;
@@ -141,39 +147,67 @@ class ProcessRunner final : public ScenarioBackend {
     std::size_t ops_harvested = 0;
   };
 
+  /// One ssr_node fleet: its daemons, peer filters, trace, registry and
+  /// latency histogram.
+  struct Fleet {
+    std::string name;
+    std::string dir;
+    std::uint64_t seed = 0;
+    /// Envelope shard tag: 0 for a one-fleet spec, s+1 for fleet s.
+    std::uint32_t tag = 0;
+    TraceRecorder trace;
+    std::unique_ptr<InvariantRegistry> registry;
+    std::map<NodeId, Proc> procs;
+    /// Runner-side view of each node's peer filter (BLOCK replaces the
+    /// whole set, so partitions accumulate here and ship as full sets).
+    std::map<NodeId, IdSet> blocked;
+    NodeId next_id = 1;
+    /// Wall-clock client-op latencies harvested from the daemons.
+    util::LatencyHistogram op_latency;
+  };
+
   /// Wall microseconds since run start — the backend's SimTime.
   SimTime now() const;
   SimTime scaled(SimTime sim_duration) const;
   SimTime await_budget(SimTime sim_duration) const;
 
-  NodeId spawn_fresh_node();
-  void spawn(NodeId id, const std::string& peers_path);
-  void kill_node(NodeId id);
-  void write_cohort_peer_map();
-  bool collect_ports(NodeId id);
+  NodeId spawn_fresh_node(Fleet& f);
+  void spawn(Fleet& f, NodeId id, const std::string& peers_path);
+  void kill_node(Fleet& f, NodeId id);
+  void write_cohort_peer_map(const Fleet& f);
+  bool collect_ports(Fleet& f, NodeId id);
   void fail(const Action& a, const std::string& detail);
+  /// Records a failure not tied to one action ("node 3 failed to start").
+  void fail_node(const Fleet& f, NodeId id, const std::string& what);
 
-  IdSet alive() const;
-  IdSet targets_or_alive(const Action& a) const;
-  /// The converged() predicate over the latest samples: every alive node
-  /// reports noReco and the same proper configuration.
-  bool converged_now() const;
+  static IdSet alive(const Fleet& f);
+  IdSet targets_or_alive(const Fleet& f, const Action& a) const;
+  /// World::common_config over the latest samples: set when every alive
+  /// node reports noReco and the same proper configuration, and no node's
+  /// prediction policy advises reconfiguring it.
+  static std::optional<IdSet> common_config(const Fleet& f);
   /// World::vs_stable over the latest samples: converged, and every alive
   /// participant multicasting in one common non-null view with one
   /// coordinator.
-  bool vs_stable_now() const;
+  static bool vs_stable_now(const Fleet& f);
+  /// Every alive daemon of `f` is stopped. With more than one fleet,
+  /// await_converged and mark_stable skip such a fleet.
+  static bool stalled(const Fleet& f);
+  bool skipped(const Fleet& f) const {
+    return fleets_.size() > 1 && stalled(f);
+  }
 
-  /// One STATUS round over every alive, unpaused node. Config changes
-  /// observed since the previous round are recorded into the trace and the
-  /// config-history monitor. An unreachable node is checked against
-  /// waitpid: an unexpected exit fails the scenario. Returns true when
-  /// every polled node answered this round.
+  /// One STATUS round over every alive, unpaused node of every fleet.
+  /// Config changes observed since the previous round are recorded into
+  /// the fleet's trace and config-history monitor. An unreachable node is
+  /// checked against waitpid: an unexpected exit fails the scenario.
+  /// Returns true when every polled node answered this round.
   bool sample_all();
-  bool sample_node(NodeId id, Proc& p);
+  bool sample_node(Fleet& f, NodeId id, Proc& p);
   /// Pulls completed operations from every alive node into the
-  /// counter-order monitor (incremental; safe to call repeatedly).
+  /// counter-order monitors (incremental; safe to call repeatedly).
   void harvest_ops();
-  void harvest_ops_from(NodeId id, Proc& p);
+  void harvest_ops_from(Fleet& f, NodeId id, Proc& p);
 
   /// Sleeps in sampling steps until `pred` holds or `budget` elapses.
   template <class Pred>
@@ -189,13 +223,16 @@ class ProcessRunner final : public ScenarioBackend {
   }
 
   void step_sleep() const;
-  void send_blocked_sets(const IdSet& touched);
-  void control_or_fail(const Action& a, NodeId id, const std::string& cmd);
+  void send_blocked_sets(Fleet& f, const IdSet& touched);
+  void control_or_fail(Fleet& f, const Action& a, NodeId id,
+                       const std::string& cmd);
 
   void apply(const Action& a);
-  void do_increment_burst(const Action& a);
-  void do_shmem(const Action& a, bool write);
-  void do_garbage(std::uint64_t per_node);
+  void do_increment_burst(Fleet& f, const Action& a);
+  void do_keyed_increments(const Action& a);
+  void do_shmem(Fleet& f, const Action& a, bool write);
+  void do_garbage(const Fleet& f, std::uint64_t per_node);
+  ScenarioResult fleet_result(const Fleet& f) const;
 
   ScenarioSpec spec_;
   ProcessBackendOptions opt_;
@@ -203,17 +240,10 @@ class ProcessRunner final : public ScenarioBackend {
   bool made_dir_ = false;
   std::uint64_t epoch_usec_ = 0;
   ctl::ControlClient client_;
-  TraceRecorder trace_;
-  std::unique_ptr<InvariantRegistry> registry_;
-  std::map<NodeId, Proc> procs_;
-  /// Runner-side view of each node's peer filter (BLOCK replaces the whole
-  /// set, so partitions accumulate here and ship as full sets).
-  std::map<NodeId, IdSet> blocked_;
-  NodeId next_id_ = 1;
+  std::vector<Fleet> fleets_;
+  KeyedWorkload keyed_;
   bool failed_ = false;
   std::string failure_;
-  /// Wall-clock client-op latencies harvested from the daemons.
-  util::LatencyHistogram op_latency_;
   bool ran_ = false;
   bool bootstrapped_ = false;
 };

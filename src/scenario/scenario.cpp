@@ -1,5 +1,7 @@
 #include "scenario/scenario.hpp"
 
+#include "scenario/trace.hpp"
+
 namespace ssr::scenario {
 
 const char* to_string(ActionKind k) {
@@ -28,8 +30,21 @@ const char* to_string(ActionKind k) {
     case ActionKind::kAwaitQuiescent: return "await_quiescent";
     case ActionKind::kPauseNodes: return "pause_nodes";
     case ActionKind::kResumeNodes: return "resume_nodes";
+    case ActionKind::kKeyedIncrements: return "keyed_increments";
+    case ActionKind::kGrowMap: return "grow_map";
   }
   return "unknown";
+}
+
+std::uint64_t Action::digest() const {
+  std::uint64_t h = TraceRecorder::kFnvBasis;
+  h = TraceRecorder::mix(h, TraceRecorder::digest(targets));
+  h = TraceRecorder::mix(h, TraceRecorder::digest(group_b));
+  h = TraceRecorder::mix(h, n);
+  h = TraceRecorder::mix(h, duration);
+  for (char c : reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
+  if (shard != 0) h = TraceRecorder::mix(h, shard);
+  return h;
 }
 
 Action Action::add_nodes(std::uint64_t count) {
@@ -203,6 +218,20 @@ Action Action::resume_nodes(IdSet targets) {
   Action a;
   a.kind = ActionKind::kResumeNodes;
   a.targets = std::move(targets);
+  return a;
+}
+
+Action Action::keyed_increments(std::uint64_t count, std::string key_prefix) {
+  Action a;
+  a.kind = ActionKind::kKeyedIncrements;
+  a.n = count;
+  a.reg = std::move(key_prefix);
+  return a;
+}
+
+Action Action::grow_map() {
+  Action a;
+  a.kind = ActionKind::kGrowMap;
   return a;
 }
 

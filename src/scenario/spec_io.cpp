@@ -10,6 +10,9 @@ namespace ssr::scenario {
 namespace {
 
 constexpr const char* kMagic = "ssrspec v1";
+/// Fleets one spec may declare: each is a whole protocol stack (a process
+/// fleet under the process backend), so a file cannot ask for millions.
+constexpr std::uint64_t kMaxShards = 64;
 
 /// Every ActionKind, for the name -> kind reverse map. Kept in enum order;
 /// a kind missing here would fail the spec_io round-trip test.
@@ -26,6 +29,7 @@ constexpr ActionKind kAllKinds[] = {
     ActionKind::kAwaitConfigEqualsAlive, ActionKind::kMarkStable,
     ActionKind::kCrashAll,       ActionKind::kAwaitQuiescent,
     ActionKind::kPauseNodes,     ActionKind::kResumeNodes,
+    ActionKind::kKeyedIncrements, ActionKind::kGrowMap,
 };
 
 void write_ids(std::ostream& os, const IdSet& ids) {
@@ -127,6 +131,9 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
   os << "corrupt_prob " << prob << '\n';
   os << "exhaust_bound " << spec.exhaust_bound << '\n';
   os << "adversarial " << (spec.adversarial ? 1 : 0) << '\n';
+  // Multi-fleet fields only when set, so one-fleet specs keep their bytes.
+  if (spec.shards != 1) os << "shards " << spec.shards << '\n';
+  if (spec.map_shards != 0) os << "map_shards " << spec.map_shards << '\n';
   for (const Phase& phase : spec.phases) {
     os << "phase " << phase.name << '\n';
     for (const Action& a : phase.actions) {
@@ -134,8 +141,9 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
       write_ids(os, a.targets);
       os << " group=";
       write_ids(os, a.group_b);
-      os << " n=" << a.n << " duration=" << a.duration << " reg=" << a.reg
-         << '\n';
+      os << " n=" << a.n << " duration=" << a.duration;
+      if (a.shard != 0) os << " shard=" << a.shard;
+      os << " reg=" << a.reg << '\n';
     }
   }
   os << "end\n";
@@ -181,6 +189,11 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!parse_u64(rest, spec.exhaust_bound)) return std::nullopt;
     } else if (key == "adversarial") {
       if (!parse_bool(rest, spec.adversarial)) return std::nullopt;
+    } else if (key == "shards" || key == "map_shards") {
+      std::uint64_t v = 0;
+      if (!parse_u64(rest, v) || v > kMaxShards) return std::nullopt;
+      (key == "shards" ? spec.shards : spec.map_shards) =
+          static_cast<std::uint32_t>(v);
     } else if (key == "phase") {
       spec.phases.push_back(Phase{rest, {}});
       phase = &spec.phases.back();
@@ -207,6 +220,13 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
         return std::nullopt;
       }
       a.duration = static_cast<SimTime>(dur);
+      if (take_field(rest, "shard", field)) {
+        std::uint64_t shard = 0;
+        if (!parse_u64(field, shard) || shard >= kMaxShards) {
+          return std::nullopt;
+        }
+        a.shard = static_cast<std::uint32_t>(shard);
+      }
       // reg= runs to the end of the line.
       const std::string tag = "reg=";
       if (rest.rfind(tag, 0) != 0) return std::nullopt;
@@ -220,6 +240,18 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
   }
   if (!ended || spec.name.empty() || spec.initial_nodes == 0) {
     return std::nullopt;
+  }
+  // Spec files are outside input: every fleet an action, the initial map
+  // or a grow_map names must exist.
+  if (spec.shards == 0 || spec.map_shards > spec.shards) return std::nullopt;
+  std::uint32_t map_width = spec.initial_map_shards();
+  for (const Phase& phase : spec.phases) {
+    for (const Action& a : phase.actions) {
+      if (a.shard >= spec.shards) return std::nullopt;
+      if (a.kind == ActionKind::kGrowMap && ++map_width > spec.shards) {
+        return std::nullopt;
+      }
+    }
   }
   return spec;
 }

@@ -12,8 +12,9 @@ namespace ssr::scenario {
 /// counterexamples are shrunk to a minimal spec and saved with save_spec;
 /// `scenario_runner --spec FILE` (and the CI artifact flow) reproduce them
 /// with load_spec. The rendering is canonical — field order fixed, every
-/// field always present — so two equal specs serialize byte-identically
-/// (the fuzzer determinism test compares renderings directly).
+/// one-fleet field always present, the multi-fleet ones only when set — so
+/// two equal specs serialize byte-identically (the fuzzer determinism test
+/// compares renderings directly).
 ///
 ///   ssrspec v1
 ///   name <token>
@@ -21,11 +22,15 @@ namespace ssr::scenario {
 ///   nodes <N>
 ///   vs <0|1>
 ///   aggressive <0|1>
+///   adopt_joiners <0|1>
 ///   corrupt_prob <%.17g double>
 ///   exhaust_bound <u64>
 ///   adversarial <0|1>
+///   shards <N>                 only when != 1
+///   map_shards <N>             only when != 0
 ///   phase <rest of line>
-///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> reg=<rest>
+///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> [shard=<s>]
+///          reg=<rest>          (one line; shard= only when != 0)
 ///   ...
 ///   end
 void save_spec(std::ostream& os, const ScenarioSpec& spec);
@@ -33,7 +38,9 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec);
 /// Convenience: the canonical rendering as a string (what save_spec emits).
 std::string spec_to_string(const ScenarioSpec& spec);
 
-/// Parses the save_spec format; nullopt on any malformed or unknown line.
+/// Parses the save_spec format; nullopt on any malformed or unknown line,
+/// and on a spec naming a fleet it does not have (shard >= shards,
+/// map_shards > shards, or more grow_maps than fleets beyond the map).
 std::optional<ScenarioSpec> load_spec(std::istream& is);
 
 /// File-path convenience wrappers. save returns false when the file cannot

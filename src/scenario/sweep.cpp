@@ -24,11 +24,12 @@
 // fully rewritten before being read), and the C++ heap (thread-safe, and
 // allocation addresses never feed the trace). The remaining shared state in
 // the library was audited for this engine and consists only of immutable
-// function-local statics initialized on first use — scenario::library(),
-// shard::sharded_library(), RecSA's kBottom / kEmptyEcho sentinels, the
-// Router's kEmpty set and wire::crc32c's implementation pointer (both
-// implementations return identical values) — which C++ guarantees
-// thread-safe to initialize and which no code path mutates afterwards.
+// function-local statics initialized on first use — scenario::library()
+// (multi-fleet specs included: a job's fleets all live inside the job),
+// RecSA's kBottom / kEmptyEcho sentinels, the Router's kEmpty set and
+// wire::crc32c's implementation pointer (both implementations return
+// identical values) — which C++ guarantees thread-safe to initialize and
+// which no code path mutates afterwards.
 // There is no global RNG: every random draw forks from the World's seed.
 // Keep it that way; a new mutable global in the node stack would surface
 // here first (and in the TSan CI job, which runs this engine).

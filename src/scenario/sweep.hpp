@@ -58,7 +58,7 @@ struct SweepSummary {
 ///    wire::BufferPool and the TraceRecorder segment pool are thread-local
 ///    (recycled memory is rewritten before it is read), and the repo keeps
 ///    no mutable globals in the node stack (the only function-local statics
-///    are the const scenario/shard libraries and const sentinels — audited,
+///    are the const scenario library and const sentinels — audited,
 ///    see DESIGN note in sweep.cpp). Hence a parallel sweep produces
 ///    byte-identical per-job trace hashes to a serial one.
 ///  * Harvest. Workers publish finished results into a mutex-guarded queue

@@ -103,6 +103,18 @@ std::uint64_t TraceRecorder::mix(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
+std::uint64_t TraceRecorder::digest(const IdSet& ids) {
+  std::uint64_t h = kFnvBasis;
+  for (NodeId id : ids) h = mix(h, id);
+  return h;
+}
+
+std::uint64_t TraceRecorder::digest(const std::string& s) {
+  std::uint64_t h = kFnvBasis;
+  for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
+  return h;
+}
+
 TraceRecorder::~TraceRecorder() {
   for (auto& seg : segs_) {
     if (seg) SegmentPool::local().release(std::move(seg));

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/id_set.hpp"
 #include "util/types.hpp"
 
 namespace ssr::harness {
@@ -119,6 +120,9 @@ class TraceRecorder {
   /// digest configs/views consistently with the recorder itself.
   static std::uint64_t mix(std::uint64_t h, std::uint64_t x);
   static constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+  /// mix() folded over a node set / the bytes of a string.
+  static std::uint64_t digest(const IdSet& ids);
+  static std::uint64_t digest(const std::string& s);
 
  private:
   /// Appends one segment (pool hit: zero heap traffic). Cold: called once

@@ -66,6 +66,10 @@ TEST_P(RunsClean, ZeroViolationsAndGoldenTrace) {
   EXPECT_TRUE(r.violations.empty()) << r.summary();
   EXPECT_TRUE(r.failure.empty()) << r.summary();
   EXPECT_GT(r.trace_events, 0u);
+  if (spec->shards > 1) {
+    EXPECT_EQ(r.fleets.size(), spec->shards);
+    EXPECT_GT(r.ops_completed, 0u) << r.summary();
+  }
   if (auto hash = golden_hash(GetParam())) {
     EXPECT_EQ(r.trace_hash, *hash)
         << "trace drifted from the pre-Transport-refactor fabric: "

@@ -52,6 +52,27 @@ ScenarioSpec kitchen_sink() {
           A::resume_nodes({3}),
           A::crash_all(),
           A::await_quiescent(30 * kSec),
+          A::keyed_increments(4, "key prefix"),
+          // grow_map needs a fleet beyond the initial map: three_fleets().
+      }});
+  return s;
+}
+
+ScenarioSpec three_fleets() {
+  ScenarioSpec s;
+  s.name = "three-fleets";
+  s.description = "fleet-scoped actions over a 2-of-3 shard map";
+  s.shards = 3;
+  s.map_shards = 2;
+  s.phases.push_back(Phase{
+      "sharded",
+      {
+          A::await_converged(60 * kSec),
+          A::crash({1}).on_shard(2),
+          A::pause_nodes({1, 2, 3}).on_shard(1),
+          A::keyed_increments(6, "k"),
+          A::grow_map(),
+          A::shmem_write({2}, "reg", 7).on_shard(2),
       }});
   return s;
 }
@@ -85,6 +106,7 @@ TEST(SpecIo, RoundTripsEveryActionKind) {
       EXPECT_EQ(la[i].n, oa[i].n) << "action " << i;
       EXPECT_EQ(la[i].duration, oa[i].duration) << "action " << i;
       EXPECT_EQ(la[i].reg, oa[i].reg) << "action " << i;
+      EXPECT_EQ(la[i].shard, oa[i].shard) << "action " << i;
     }
   }
 
@@ -102,7 +124,7 @@ TEST(SpecIo, LibrarySpecsRoundTrip) {
 }
 
 TEST(SpecIo, ActionKindNamesRoundTrip) {
-  for (int k = 1; k <= static_cast<int>(ActionKind::kResumeNodes); ++k) {
+  for (int k = 1; k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
     const auto kind = static_cast<ActionKind>(k);
     const auto parsed = action_kind_from_string(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
@@ -136,6 +158,60 @@ TEST(SpecIo, RejectsMalformedInput) {
                       "reg=\n"
                       "end\n"));  // malformed id list
   EXPECT_FALSE(rejects(good));
+}
+
+TEST(SpecIo, MultiFleetSpecRoundTrips) {
+  const ScenarioSpec original = three_fleets();
+  const std::string text = spec_to_string(original);
+  // Multi-fleet fields appear only when set; one-fleet renderings (every
+  // saved counterexample) keep their bytes.
+  EXPECT_NE(text.find("\nshards 3\nmap_shards 2\n"), std::string::npos);
+  EXPECT_NE(text.find(" shard=2 reg=reg\n"), std::string::npos) << text;
+  EXPECT_EQ(spec_to_string(kitchen_sink()).find("shard"), std::string::npos);
+
+  std::istringstream in(text);
+  const auto loaded = load_spec(in);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->shards, 3u);
+  EXPECT_EQ(loaded->map_shards, 2u);
+  const auto& actions = loaded->phases.at(0).actions;
+  ASSERT_EQ(actions.size(), original.phases[0].actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    EXPECT_EQ(actions[i].kind, original.phases[0].actions[i].kind) << i;
+    EXPECT_EQ(actions[i].shard, original.phases[0].actions[i].shard) << i;
+  }
+  EXPECT_EQ(spec_to_string(*loaded), text);
+}
+
+TEST(SpecIo, RejectsFleetsTheSpecDoesNotHave) {
+  const auto rejects = [](const std::string& text) {
+    std::istringstream in(text);
+    return !load_spec(in).has_value();
+  };
+  const std::string head = "ssrspec v1\nname x\nnodes 3\n";
+  const std::string crash_on =
+      "phase p\naction crash targets=1 group= n=0 duration=0 shard=";
+  EXPECT_FALSE(rejects(head + "shards 2\n" + crash_on + "1 reg=\nend\n"));
+  // shard >= shards, including the implicit one-fleet default.
+  EXPECT_TRUE(rejects(head + "shards 2\n" + crash_on + "2 reg=\nend\n"));
+  EXPECT_TRUE(rejects(head + crash_on + "1 reg=\nend\n"));
+  // An initial map wider than the fleets, no fleets at all, absurd counts.
+  EXPECT_TRUE(rejects(head + "shards 2\nmap_shards 3\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 0\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 99999999999\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\n" + crash_on + "x reg=\nend\n"));
+  // Every grow_map widens the map by one fleet, which must exist too.
+  const std::string grow =
+      "action grow_map targets= group= n=0 duration=0 reg=\n";
+  const std::string keyed =
+      "action keyed_increments targets= group= n=2 duration=0 reg=k\n";
+  EXPECT_FALSE(rejects(head + "shards 2\nmap_shards 1\nphase p\n" + grow +
+                       keyed + "end\n"));
+  EXPECT_TRUE(rejects(head + "phase p\n" + grow + keyed + keyed + "end\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\nphase p\n" + keyed + grow +
+                      "end\n"));
+  EXPECT_TRUE(rejects(head + "shards 3\nmap_shards 1\nphase p\n" + grow +
+                      keyed + grow + grow + keyed + "end\n"));
 }
 
 TEST(SpecIo, FileRoundTrip) {

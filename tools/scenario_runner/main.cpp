@@ -3,12 +3,14 @@
 //
 //   scenario_runner --list                 enumerate scenarios
 //   scenario_runner --run NAME [--run NAME2 ...] [--seed N]
-//   scenario_runner --all [--seed N]       run every scenario
+//   scenario_runner --all [--seed N]       run every scenario, the
+//                                          multi-fleet (sharded) ones too
 //   scenario_runner --spec FILE            run a spec_io file (the fuzzer's
 //                                          counterexample format)
 //   scenario_runner --adversary            force worst-case delivery
 //                                          scheduling on the selected specs
 //   scenario_runner --trace K              also dump the first K trace events
+//                                          (fleet 0's, for a sharded spec)
 //
 // Backend selection:
 //   --backend sim            deterministic in-process simulator (default)
@@ -19,7 +21,12 @@
 //   --work-dir DIR           scratch/log directory (default: mkdtemp)
 //   --keep-logs              keep the scratch directory even on success
 //
-// Trace tooling (simulator backend, single --run):
+// A spec with shards > 1 runs K fleets side by side (one quorum group each,
+// one keyed workload routed across them); its summary adds one line per
+// fleet.
+//
+// Trace tooling (simulator backend, single --run, one-fleet specs only — a
+// multi-fleet run has one trace per fleet):
 //   --record FILE            save the trace event stream + hash to FILE
 //   --diff FILE              re-run and report the first event where the
 //                            current trace diverges from the recorded one
@@ -31,7 +38,8 @@
 //                            serial run at any --jobs
 //   --jobs N                 worker threads (default 1)
 //   --seeds A..B             inclusive seed range (default: --seed alone)
-//   --record-dir DIR         save one trace file per job into DIR
+//   --record-dir DIR         save one trace file per job into DIR (one-fleet
+//                            specs only)
 //
 // Exit status: 0 when every run met its awaits with zero invariant
 // violations (and, under --diff, the traces match), 1 otherwise (2 on
@@ -49,11 +57,8 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/sweep.hpp"
-#include "shard/sharded_scenario.hpp"
-#include "shard/sharded_sim.hpp"
 #ifdef __unix__
 #include "scenario/process_runner.hpp"
-#include "shard/sharded_process.hpp"
 #endif
 
 namespace {
@@ -67,7 +72,6 @@ struct CliOptions {
   std::vector<std::string> names;
   std::vector<std::string> spec_files;
   bool adversary = false;
-  bool sharded = false;
   std::uint64_t seed = 1;
   std::size_t trace_lines = 0;
   std::string backend = "sim";
@@ -87,45 +91,13 @@ struct CliOptions {
 
 void list_scenarios() {
   for (const auto& s : library()) {
-    std::printf("%-26s %zu nodes%s  %s\n", s.name.c_str(), s.initial_nodes,
+    const std::string nodes =
+        s.shards == 1 ? std::to_string(s.initial_nodes) + " nodes"
+                      : std::to_string(s.shards) + "x" +
+                            std::to_string(s.initial_nodes) + " nodes";
+    std::printf("%-26s %s%s  %s\n", s.name.c_str(), nodes.c_str(),
                 s.enable_vs ? " +vs" : "    ", s.description.c_str());
   }
-}
-
-void list_sharded_scenarios() {
-  for (const auto& s : shard::sharded_library()) {
-    std::printf("%-26s %u shards x %zu nodes  %s\n", s.name.c_str(), s.shards,
-                s.nodes_per_shard, s.description.c_str());
-  }
-}
-
-/// Runs one sharded spec under the selected backend; prints the aggregate
-/// summary and one line per shard.
-bool run_one_sharded(const shard::ShardedSpec& spec, const CliOptions& cli) {
-  shard::ShardedResult r;
-  if (cli.backend == "process") {
-#ifdef __unix__
-    ProcessBackendOptions opt;
-    opt.node_binary = cli.node_bin;
-    opt.work_dir =
-        cli.work_dir.empty() ? "" : cli.work_dir + "/" + spec.name;
-    opt.keep_dir = cli.keep_logs;
-    opt.time_scale = cli.time_scale;
-    opt.seed = cli.seed;
-    r = shard::run_sharded_process(spec, opt);
-#else
-    std::fprintf(stderr, "backend 'process' is not available on this "
-                         "platform\n");
-    return false;
-#endif
-  } else {
-    r = shard::run_sharded_sim(spec, cli.seed);
-  }
-  std::printf("%s\n", r.summary().c_str());
-  for (const ScenarioResult& pr : r.per_shard) {
-    std::printf("  %s\n", pr.summary().c_str());
-  }
-  return r.ok;
 }
 
 std::unique_ptr<ScenarioBackend> make_backend(const ScenarioSpec& spec,
@@ -258,21 +230,20 @@ int usage() {
       "                    counterexamples are saved in)\n"
       "  --adversary       force worst-case delivery scheduling on every\n"
       "                    selected spec (sim backend)\n"
-      "  --sharded         use the multi-shard scenario library (K node\n"
-      "                    fleets + client-side router; both backends)\n"
       "  --seed N          runner seed (default 1)\n"
-      "  --trace K         dump the first K trace events\n"
+      "  --trace K         dump the first K trace events (fleet 0's)\n"
       "  --backend B       sim (default) | process\n"
       "  --node-bin PATH   ssr_node binary (process backend)\n"
       "  --time-scale X    wall seconds per sim second (process backend)\n"
       "  --work-dir DIR    scratch/log dir (process backend)\n"
       "  --keep-logs       keep the scratch dir on success too\n"
-      "  --record FILE     save the trace stream (single --run)\n"
-      "  --diff FILE       compare against a recorded trace (single --run)\n"
+      "  --record FILE     save the trace stream (single one-fleet --run)\n"
+      "  --diff FILE       compare against a recorded trace (likewise)\n"
       "  --sweep           run scenarios x seeds on a worker pool (sim)\n"
       "  --jobs N          sweep worker threads (default 1)\n"
       "  --seeds A..B      inclusive sweep seed range (default: --seed)\n"
-      "  --record-dir DIR  save one trace file per sweep job into DIR\n");
+      "  --record-dir DIR  save one trace file per sweep job into DIR\n"
+      "                    (one-fleet specs only)\n");
   return 2;
 }
 
@@ -318,8 +289,6 @@ int main(int argc, char** argv) {
       cli.list = true;
     } else if (arg == "--all") {
       cli.all = true;
-    } else if (arg == "--sharded") {
-      cli.sharded = true;
     } else if (arg == "--run" && i + 1 < nargs) {
       cli.names.push_back(args[++i]);
     } else if (arg == "--spec" && i + 1 < nargs) {
@@ -382,22 +351,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--adversary works on the sim backend only\n");
     return 2;
   }
-  if (cli.sharded && (cli.adversary || !cli.spec_files.empty())) {
-    std::fprintf(stderr, "--spec/--adversary do not apply to --sharded\n");
-    return 2;
-  }
   if ((!cli.record_path.empty() || !cli.diff_path.empty()) &&
       cli.backend != "sim") {
     // Process-backend timestamps are wall clock; a diff would always
     // diverge at event 0.
     std::fprintf(stderr,
                  "--record/--diff work on the deterministic sim backend\n");
-    return 2;
-  }
-  if (cli.sharded &&
-      (!cli.record_path.empty() || !cli.diff_path.empty())) {
-    // A sharded run has one trace per shard, not one recordable stream.
-    std::fprintf(stderr, "--record/--diff do not apply to --sharded runs\n");
     return 2;
   }
   if (cli.sweep) {
@@ -408,11 +367,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--sweep runs on the sim backend only\n");
       return 2;
     }
-    if (cli.sharded || !cli.record_path.empty() || !cli.diff_path.empty() ||
+    if (!cli.record_path.empty() || !cli.diff_path.empty() ||
         cli.trace_lines > 0) {
       std::fprintf(stderr,
-                   "--sweep does not combine with --sharded/--record/--diff/"
-                   "--trace (use --record-dir for per-job traces)\n");
+                   "--sweep does not combine with --record/--diff/--trace "
+                   "(use --record-dir for per-job traces)\n");
       return 2;
     }
     if (!cli.all && cli.names.empty() && cli.spec_files.empty()) {
@@ -420,96 +379,57 @@ int main(int argc, char** argv) {
                    "--sweep wants --all or at least one --run/--spec\n");
       return 2;
     }
-    std::vector<ScenarioSpec> specs;
-    if (cli.all) {
-      specs = library();
-    } else {
-      for (const std::string& name : cli.names) {
-        auto spec = find_scenario(name);
-        if (!spec) {
-          std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                       name.c_str());
-          return 2;
-        }
-        specs.push_back(*spec);
-      }
-      for (const std::string& path : cli.spec_files) {
-        auto spec = load_spec_file(path);
-        if (!spec) {
-          std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
-          return 2;
-        }
-        specs.push_back(*spec);
-      }
-    }
-    if (cli.adversary) {
-      for (ScenarioSpec& spec : specs) spec.adversarial = true;
-    }
-    return run_sweep_mode(specs, cli) ? 0 : 1;
-  }
-  if (cli.jobs > 1 || cli.seeds_set || !cli.record_dir.empty()) {
+  } else if (cli.jobs > 1 || cli.seeds_set || !cli.record_dir.empty()) {
     std::fprintf(stderr,
                  "--jobs/--seeds/--record-dir only apply to --sweep\n");
     return 2;
   }
 
   if (cli.list) {
-    if (cli.sharded) {
-      list_sharded_scenarios();
-    } else {
-      list_scenarios();
-    }
+    list_scenarios();
     return 0;
   }
-  if (cli.all) {
-    bool ok = true;
-    if (cli.sharded) {
-      for (const auto& s : shard::sharded_library()) {
-        ok = run_one_sharded(s, cli) && ok;
-      }
-    } else {
-      for (const auto& s : library()) {
-        ScenarioSpec spec = s;
-        if (cli.adversary) spec.adversarial = true;
-        ok = run_one(spec, cli) && ok;
-      }
-    }
-    return ok ? 0 : 1;
+  if (!cli.all && cli.names.empty() && cli.spec_files.empty()) {
+    return usage();
   }
-  if (!cli.names.empty() || !cli.spec_files.empty()) {
-    bool ok = true;
-    for (const std::string& path : cli.spec_files) {
-      auto spec = load_spec_file(path);
-      if (!spec) {
-        std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
-        return 2;
-      }
-      if (cli.adversary) spec->adversarial = true;
-      ok = run_one(*spec, cli) && ok;
-    }
+  std::vector<ScenarioSpec> specs;
+  if (cli.all) {
+    specs = library();
+  } else {
     for (const std::string& name : cli.names) {
-      if (cli.sharded) {
-        auto spec = shard::find_sharded_scenario(name);
-        if (!spec) {
-          std::fprintf(stderr,
-                       "unknown sharded scenario '%s' (try --sharded "
-                       "--list)\n",
-                       name.c_str());
-          return 2;
-        }
-        ok = run_one_sharded(*spec, cli) && ok;
-        continue;
-      }
       auto spec = find_scenario(name);
       if (!spec) {
         std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
                      name.c_str());
         return 2;
       }
-      if (cli.adversary) spec->adversarial = true;
-      ok = run_one(*spec, cli) && ok;
+      specs.push_back(*spec);
     }
-    return ok ? 0 : 1;
+    for (const std::string& path : cli.spec_files) {
+      auto spec = load_spec_file(path);
+      if (!spec) {
+        std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
+        return 2;
+      }
+      specs.push_back(*spec);
+    }
   }
-  return usage();
+  for (ScenarioSpec& spec : specs) {
+    if (cli.adversary) spec.adversarial = true;
+    if (spec.shards > 1 && (!cli.record_path.empty() ||
+                            !cli.diff_path.empty() ||
+                            !cli.record_dir.empty())) {
+      // A multi-fleet run has one trace per fleet, not one recordable
+      // stream.
+      std::fprintf(stderr,
+                   "--record/--diff/--record-dir do not apply to '%s' "
+                   "(%u fleets)\n",
+                   spec.name.c_str(), spec.shards);
+      return 2;
+    }
+  }
+  if (cli.sweep) return run_sweep_mode(specs, cli) ? 0 : 1;
+  bool ok = true;
+  for (const ScenarioSpec& spec : specs) ok = run_one(spec, cli) && ok;
+  return ok ? 0 : 1;
 }

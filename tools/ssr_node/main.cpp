@@ -2,7 +2,7 @@
 //
 //   ssr_node --id N --peers FILE [--seconds S] [--increments K]
 //            [--tick-us T] [--retransmit-us T] [--ack-threshold A] [--vs]
-//            [--seed R] [--aggressive] [--port-file FILE]
+//            [--seed R] [--aggressive] [--adopt-joiners] [--port-file FILE]
 //
 // FILE holds one "id host port" triple per line ('#' starts a comment);
 // the entry matching --id is the local bind address. Port 0 anywhere means
@@ -75,6 +75,7 @@ struct Options {
   std::size_t batch = 16;   // sendmmsg/recvmmsg ring depth (1 = unbatched)
   bool enable_vs = false;
   bool aggressive = false;
+  bool adopt_joiners = false;
 };
 
 int usage() {
@@ -83,8 +84,8 @@ int usage() {
                "                [--increments K=0] [--tick-us T=5000]\n"
                "                [--retransmit-us T=2000] [--ack-threshold A=3]"
                " [--vs]\n"
-               "                [--seed R] [--aggressive] [--port-file FILE]"
-               " [--batch N=16]\n");
+               "                [--seed R] [--aggressive] [--adopt-joiners]\n"
+               "                [--port-file FILE] [--batch N=16]\n");
   return 2;
 }
 
@@ -157,13 +158,10 @@ class Daemon {
     }
     node_ = std::make_unique<node::Node>(transport_, opt_.id, ncfg,
                                          rng_.fork());
-    if (opt_.aggressive) {
-      // Replace-on-any-suspect prediction policy (the scenario library's
-      // aggressive_policy flag).
-      node_->set_eval_conf([this](const IdSet& cfg) {
-        return cfg.intersection_size(
-                   node_->failure_detector().trusted()) < cfg.size();
-      });
+    if (opt_.aggressive || opt_.adopt_joiners) {
+      // The scenario spec's aggressive_policy / adopt_joiners flags.
+      node_->set_eval_conf(node::prediction_policy(*node_, opt_.aggressive,
+                                                   opt_.adopt_joiners));
     }
     node_->recsa().add_config_change_handler(
         [this](const reconf::ConfigValue&) { ++config_changes_; });
@@ -341,6 +339,8 @@ class Daemon {
          << " part=" << (node_->recsa().is_participant() ? 1 : 0)
          << " cfgtag=" << static_cast<int>(cfg.tag())
          << " cfg=" << (cfg.is_set() ? ctl::format_ids(cfg.ids()) : "-")
+         // The policy is only defined over a set configuration.
+         << " adv=" << (cfg.is_set() && node_->reconfig_advised() ? 1 : 0)
          << " cfgchanges=" << config_changes_
          << " trusted=" << ctl::format_ids(node_->failure_detector().trusted())
          << " incq=" << pending_increments_
@@ -533,6 +533,8 @@ int main(int argc, char** argv) {
       opt.enable_vs = true;
     } else if (arg == "--aggressive") {
       opt.aggressive = true;
+    } else if (arg == "--adopt-joiners") {
+      opt.adopt_joiners = true;
     } else {
       return usage();
     }
