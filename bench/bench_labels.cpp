@@ -51,7 +51,7 @@ void BM_LabelCreationsArbitraryStart(benchmark::State& state) {
     for (NodeId id = 1; id <= n; ++id) {
       auto& store = w.node(id).labeling().store();
       for (NodeId j = 1; j <= n; ++j) {
-        label::Label junk = label::Label::next_label(j, std::vector<label::Label>{}, rng);
+        label::Label junk = label::Label::next_label(j, {}, rng);
         store.inject_max(j, label::LabelPair::of(junk));
         store.inject_stored(j, label::LabelPair::of(junk));
       }

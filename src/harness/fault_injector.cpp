@@ -48,7 +48,7 @@ void FaultInjector::plant_exhausted_counter(NodeId id, std::uint64_t seqn) {
   auto& n = world_.node(id);
   auto& store = n.counters().store();
   counter::Counter c;
-  c.lbl = label::Label::next_label(id, std::vector<label::Label>{}, rng_);
+  c.lbl = label::Label::next_label(id, {}, rng_);
   c.seqn = seqn;
   c.wid = id;
   store.inject_max(id, counter::CounterPair::of(c));

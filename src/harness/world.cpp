@@ -84,84 +84,26 @@ IdSet World::all_ids() const {
   return out;
 }
 
-bool World::converged() const {
-  std::optional<IdSet> common;
-  bool any = false;
-  for (const auto& [id, n] : nodes_) {
-    (void)id;
-    if (!n->started() || n->crashed()) continue;
-    any = true;
-    if (!n->recsa().no_reco()) return false;
-    const reconf::ConfigValue& c = n->recsa().get_config_ref();
-    if (!c.is_proper()) return false;
-    // Agreement alone is not a fixpoint: if the node's prediction policy
-    // already advises reconfiguration, a config change is imminent and a
-    // caller that marks the system stable here races it (scenario_fuzz
-    // shrank a closure violation down to exactly this window).
-    if (n->reconfig_advised()) return false;
-    if (!common) {
-      common = c.ids();
-    } else if (!(*common == c.ids())) {
-      return false;
-    }
+template <class Pred>
+std::optional<SimTime> World::run_until(Pred pred, SimTime timeout,
+                                        SimTime check_every) {
+  const SimTime start = sched_.now();
+  const SimTime deadline = start + timeout;
+  while (sched_.now() < deadline) {
+    if (pred()) return sched_.now() - start;
+    run_for(check_every);
   }
-  return any;
-}
-
-std::optional<IdSet> World::common_config() const {
-  if (!converged()) return std::nullopt;
-  for (const auto& [id, n] : nodes_) {
-    (void)id;
-    if (n->started() && !n->crashed()) return n->recsa().get_config().ids();
-  }
-  return std::nullopt;
+  return pred() ? std::optional<SimTime>(sched_.now() - start) : std::nullopt;
 }
 
 std::optional<SimTime> World::run_until_converged(SimTime timeout,
                                                   SimTime check_every) {
-  const SimTime start = sched_.now();
-  const SimTime deadline = start + timeout;
-  while (sched_.now() < deadline) {
-    if (converged()) return sched_.now() - start;
-    run_for(check_every);
-  }
-  return converged() ? std::optional<SimTime>(sched_.now() - start)
-                     : std::nullopt;
-}
-
-bool World::vs_stable() const {
-  if (!converged()) return false;
-  std::optional<vs::View> common;
-  NodeId crd = kNoNode;
-  for (const auto& [id, n] : nodes_) {
-    (void)id;
-    if (!n->started() || n->crashed()) continue;
-    vs::VsSmr* v = const_cast<node::Node&>(*n).vs();
-    if (v == nullptr) return false;
-    if (!n->recsa().is_participant()) continue;
-    if (v->status() != vs::Status::kMulticast) return false;
-    if (v->view().is_null()) return false;
-    if (v->no_coordinator()) return false;
-    if (!common) {
-      common = v->view();
-      crd = v->coordinator();
-    } else if (!(*common == v->view()) || crd != v->coordinator()) {
-      return false;
-    }
-  }
-  return common.has_value();
+  return run_until([this] { return converged(); }, timeout, check_every);
 }
 
 std::optional<SimTime> World::run_until_vs_stable(SimTime timeout,
                                                   SimTime check_every) {
-  const SimTime start = sched_.now();
-  const SimTime deadline = start + timeout;
-  while (sched_.now() < deadline) {
-    if (vs_stable()) return sched_.now() - start;
-    run_for(check_every);
-  }
-  return vs_stable() ? std::optional<SimTime>(sched_.now() - start)
-                     : std::nullopt;
+  return run_until([this] { return vs_stable(); }, timeout, check_every);
 }
 
 }  // namespace ssr::harness

@@ -3,10 +3,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 
 #include "net/adversary.hpp"
 #include "net/sim_transport.hpp"
 #include "node/node.hpp"
+#include "node/snapshot.hpp"
 
 namespace ssr::harness {
 
@@ -62,23 +64,44 @@ class World {
   void run_until(SimTime t) { sched_.run_until(t); }
 
   // -- Convergence predicates (legal-execution detectors) --------------------
+  // Wrappers over the node:: predicates (node/snapshot.hpp), which the
+  // process backend evaluates over sampled STATUS replies too.
 
-  /// True when every alive node reports noReco() and the same proper
-  /// configuration — the conflict-free state of Theorem 3.15.
-  bool converged() const;
+  /// The alive nodes' snapshots, built lazily: a predicate stops at the
+  /// first failing node, and later nodes are never snapshotted.
+  auto snapshots() const {
+    const auto is_alive = [](const auto& entry) {
+      return entry.second->started() && !entry.second->crashed();
+    };
+    const auto snapshot = [](const auto& entry) {
+      return node::NodeSnapshot::of(*entry.second);
+    };
+    return nodes_ | std::views::filter(is_alive) |
+           std::views::transform(snapshot);
+  }
+
+  /// Every alive node agrees on one proper configuration (Theorem 3.15).
+  bool converged() const { return common_config().has_value(); }
   /// The common configuration when converged.
-  std::optional<IdSet> common_config() const;
+  std::optional<IdSet> common_config() const {
+    return node::common_config(snapshots());
+  }
   /// Runs until converged() holds (checked every `check_every`); returns
   /// the virtual time spent, or nullopt on timeout.
   std::optional<SimTime> run_until_converged(SimTime timeout,
                                              SimTime check_every = 20 * kMsec);
-  /// True when every alive node's VS layer agrees on one installed view
-  /// containing a configuration majority, with a single coordinator.
-  bool vs_stable() const;
+  /// Every alive VS layer agrees on one installed view and coordinator.
+  bool vs_stable() const { return node::vs_stable(snapshots()); }
   std::optional<SimTime> run_until_vs_stable(SimTime timeout,
                                              SimTime check_every = 20 * kMsec);
 
  private:
+  /// Runs until `pred` holds (checked every `check_every`); the virtual
+  /// time spent, or nullopt on timeout.
+  template <class Pred>
+  std::optional<SimTime> run_until(Pred pred, SimTime timeout,
+                                   SimTime check_every);
+
   WorldConfig cfg_;
   Rng rng_;
   sim::Scheduler sched_;

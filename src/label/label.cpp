@@ -70,20 +70,6 @@ Label Label::next_label(NodeId creator, std::span<const Label* const> known,
   return next;
 }
 
-Label Label::next_label(NodeId creator, const std::vector<Label>& known,
-                        Rng& rng) {
-  // Compatibility wrapper for callers holding labels by value (tools,
-  // tests, fault injection); the stores' mint paths use the span overload
-  // over an arena-backed pointer scratch instead.
-  // ssr-lint: allow(hot-path-alloc) compat shim off the mint fast path.
-  std::vector<const Label*> ptrs;
-  // ssr-lint: allow(hot-path-alloc) single exact reserve in the shim.
-  ptrs.reserve(known.size());
-  // ssr-lint: allow(hot-path-alloc) within the reserve above.
-  for (const Label& l : known) ptrs.push_back(&l);
-  return next_label(creator, std::span<const Label* const>(ptrs), rng);
-}
-
 void Label::encode(wire::Writer& w) const {
   w.node_id(creator);
   w.u32(sting);

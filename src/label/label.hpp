@@ -53,14 +53,11 @@ struct Label {
   /// the same creator: antistings cover their stings, the fresh sting avoids
   /// all of their antistings.
   ///
-  /// The span overload is the core: it reads candidates through pointers so
-  /// callers that already own the labels (the stores' mint paths) can pass
-  /// an arena-backed pointer scratch list instead of copying whole labels —
-  /// candidate iteration order, and therefore every RNG draw, is identical
-  /// between the two overloads.
+  /// Candidates are read through pointers, so callers that already own the
+  /// labels (the stores' mint paths) pass an arena-backed pointer scratch
+  /// list instead of copying whole labels; callers with no known labels
+  /// pass {}.
   static Label next_label(NodeId creator, std::span<const Label* const> known,
-                          Rng& rng);
-  static Label next_label(NodeId creator, const std::vector<Label>& known,
                           Rng& rng);
 
   void encode(wire::Writer& w) const;

@@ -34,6 +34,21 @@ void head_line(std::ostream& os, const ScenarioResult& r) {
 
 }  // namespace
 
+std::string await_failure(ActionKind kind) {
+  switch (kind) {
+    case ActionKind::kAwaitConverged:
+      return "no convergence within the time budget";
+    case ActionKind::kAwaitVsStable:
+      return "VS layer did not stabilize";
+    case ActionKind::kAwaitParticipants:
+      return "targets were not admitted as participants";
+    case ActionKind::kAwaitConfigEqualsAlive:
+      return "configuration did not catch up with the alive set";
+    default:
+      return "await missed its budget";
+  }
+}
+
 std::string ScenarioResult::summary() const {
   std::ostringstream os;
   head_line(os, *this);

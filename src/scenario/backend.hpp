@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "node/snapshot.hpp"
 #include "scenario/invariants.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
@@ -124,6 +125,28 @@ class KeyedWorkload {
   std::uint64_t redirected_ = 0;
 };
 
+/// The condition await action `a` waits for, over one fleet's alive
+/// snapshots: written once for both backends, which pick the fleets
+/// (await_converged spans every fleet, the others look at fleet a.shard).
+template <class Snapshots>
+bool await_met(const Action& a, Snapshots&& alive) {
+  switch (a.kind) {
+    case ActionKind::kAwaitConverged:
+      return node::common_config(alive).has_value();
+    case ActionKind::kAwaitVsStable:
+      return node::vs_stable(alive);
+    case ActionKind::kAwaitParticipants:
+      return node::targets_admitted(alive, a.targets);
+    case ActionKind::kAwaitConfigEqualsAlive:
+      return node::config_equals_alive(alive);
+    default:
+      return false;  // not an await with a node predicate
+  }
+}
+
+/// The failure a run reports when an await of `kind` misses its budget.
+std::string await_failure(ActionKind kind);
+
 /// One way of executing a ScenarioSpec. Two implementations exist:
 ///  * ScenarioRunner  — the deterministic in-process simulator;
 ///  * ProcessRunner   — one real ssr_node OS process per node on localhost
@@ -140,6 +163,25 @@ class ScenarioBackend {
 
   virtual TraceRecorder& trace() = 0;
   virtual InvariantRegistry& invariants() = 0;
+
+  /// An await missed its budget, or an action could not be applied.
+  bool failed() const { return failed_; }
+  /// The first failure; empty while there is none.
+  const std::string& failure() const { return failure_; }
+
+ protected:
+  /// Records the run's first failure; later ones are dropped.
+  void fail(std::string what) {
+    if (failed_) return;
+    failed_ = true;
+    failure_ = std::move(what);
+  }
+  void fail(const Action& a, const std::string& detail) {
+    fail(std::string(to_string(a.kind)) + ": " + detail);
+  }
+
+  bool failed_ = false;
+  std::string failure_;
 };
 
 }  // namespace ssr::scenario

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace ssr::scenario::ctl {
 namespace {
@@ -69,11 +70,9 @@ std::optional<IdSet> parse_ids(const std::string& s) {
   std::istringstream is(s);
   std::string tok;
   while (std::getline(is, tok, ',')) {
-    if (tok.empty()) return std::nullopt;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0') return std::nullopt;
-    out.insert(static_cast<NodeId>(v));
+    NodeId id = 0;
+    if (!parse_uint(tok, id)) return std::nullopt;
+    out.insert(id);
   }
   if (out.empty()) return std::nullopt;  // "" and "," are malformed
   return out;
@@ -117,6 +116,66 @@ std::optional<wire::Bytes> hex_decode(const std::string& s) {
     out.push_back(static_cast<std::uint8_t>(hi << 4 | lo));
   }
   return out;
+}
+
+std::string format_snapshot(const node::NodeSnapshot& s) {
+  std::ostringstream os;
+  os << "id=" << s.id << " noreco=" << s.no_reco << " part=" << s.participant
+     << " cfgtag=" << static_cast<int>(s.config.tag())
+     << " cfg=" << format_ids(s.config.is_set() ? s.config.ids() : IdSet{})
+     << " adv=" << s.advised;
+  if (s.vs) {
+    wire::Writer w;
+    s.vs->view.encode(w);
+    os << " vsmc=" << s.vs->multicast << " vsnocrd=" << s.vs->no_coordinator
+       << " vscrd=" << s.vs->coordinator << " vsview=" << hex_encode(w.take());
+  }
+  return os.str();
+}
+
+std::optional<node::NodeSnapshot> parse_snapshot(
+    const std::map<std::string, std::string>& kv) {
+  using reconf::ConfigValue;
+  // A missing key reads as "", which no field parser accepts.
+  const auto get = [&kv](const char* key) {
+    const auto it = kv.find(key);
+    return it == kv.end() ? std::string() : it->second;
+  };
+  node::NodeSnapshot s;
+  std::uint32_t tag = 0;
+  auto ids = parse_ids(get("cfg"));
+  if (!parse_uint(get("id"), s.id) || !parse_flag(get("noreco"), s.no_reco) ||
+      !parse_flag(get("part"), s.participant) ||
+      !parse_flag(get("adv"), s.advised) || !parse_uint(get("cfgtag"), tag) ||
+      !ids) {
+    return std::nullopt;
+  }
+  const auto is = [tag](ConfigValue::Tag t) {
+    return tag == static_cast<std::uint32_t>(t);
+  };
+  if (is(ConfigValue::Tag::kSet)) {
+    s.config = ConfigValue::set(std::move(*ids));
+  } else if (!ids->empty()) {
+    return std::nullopt;  // only a set carries ids
+  } else if (is(ConfigValue::Tag::kBottom)) {
+    s.config = ConfigValue::bottom();
+  } else if (!is(ConfigValue::Tag::kNonParticipant)) {
+    return std::nullopt;
+  }
+
+  if (kv.count("vsmc") == 0 && kv.count("vsview") == 0) return s;  // no VS
+  node::NodeSnapshot::Vs& v = s.vs.emplace();
+  const auto blob = hex_decode(get("vsview"));
+  if (!parse_flag(get("vsmc"), v.multicast) ||
+      !parse_flag(get("vsnocrd"), v.no_coordinator) ||
+      !parse_uint(get("vscrd"), v.coordinator) || !blob) {
+    return std::nullopt;
+  }
+  wire::Reader r(*blob);
+  auto view = vs::View::decode(r);
+  if (!view || !r.ok() || !r.exhausted()) return std::nullopt;
+  v.view = std::move(*view);
+  return s;
 }
 
 // -- ControlServer -----------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "node/snapshot.hpp"
 #include "util/id_set.hpp"
 #include "util/types.hpp"
 #include "wire/wire.hpp"
@@ -49,9 +50,24 @@ std::map<std::string, std::string> parse_kv(const std::string& payload);
 std::string hex_encode(const wire::Bytes& b);
 std::optional<wire::Bytes> hex_decode(const std::string& s);
 
+/// The node half of a STATUS reply, the only writer of these fields:
+///   id=<id> noreco=<0|1> part=<0|1> cfgtag=<ConfigValue::Tag> cfg=<ids|->
+///   adv=<0|1>
+/// and, when the node runs the VS layer,
+///   vsmc=<0|1> vsnocrd=<0|1> vscrd=<id> vsview=<hex of vs::View::encode>
+std::string format_snapshot(const node::NodeSnapshot& s);
+/// The only reader of format_snapshot's fields, from a STATUS payload's
+/// parse_kv map (other keys are ignored). nullopt when a node field is
+/// missing or malformed: a flag other than 0/1, an unknown cfgtag, a cfg
+/// that contradicts its tag, bad hex, or a view that does not decode
+/// exactly.
+std::optional<node::NodeSnapshot> parse_snapshot(
+    const std::map<std::string, std::string>& kv);
+
 /// ssr_node's control-socket command set (shared so the runner and the
 /// daemon cannot drift apart):
-///   STATUS                       node state snapshot as k=v pairs
+///   STATUS                       format_snapshot, then the daemon's
+///                                counters (cfgchanges= incq= sent= ...)
 ///   BLOCK <ids|->                install the transport peer filter
 ///   PEER <id> <host> <port>      add/rebind one transport route
 ///   RELOAD                      re-read the peers file now

@@ -318,25 +318,6 @@ std::string Fuzzer::failure_signature(const ScenarioResult& r) {
   return "";
 }
 
-bool Fuzzer::spec_references_valid(const ScenarioSpec& spec) {
-  if (spec.initial_nodes == 0) return false;
-  std::uint64_t created = spec.initial_nodes;
-  const auto ok_ids = [&created](const IdSet& ids) {
-    for (NodeId id : ids) {
-      if (id == 0 || id > created) return false;
-    }
-    return true;
-  };
-  for (const Phase& phase : spec.phases) {
-    for (const Action& a : phase.actions) {
-      if (!ok_ids(a.targets) || !ok_ids(a.group_b)) return false;
-      if (a.kind == ActionKind::kAddNodes) created += a.n;
-      if (a.kind == ActionKind::kReboot) created += a.targets.size();
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// Shrinker candidate enumeration: every one-step reduction of `spec`, most

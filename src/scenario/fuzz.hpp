@@ -90,11 +90,6 @@ class Fuzzer {
                              std::size_t max_runs,
                              std::size_t* runs_used = nullptr);
 
-  /// True when every node id referenced by an action exists by the time
-  /// the action runs (ids are 1-based, minted in order: initial nodes,
-  /// then one per add_nodes unit / reboot target).
-  static bool spec_references_valid(const ScenarioSpec& spec);
-
  private:
   FuzzOptions opt_;
 };

@@ -8,12 +8,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ranges>
 #include <sstream>
 #include <thread>
 
@@ -31,6 +33,19 @@ std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
   auto it = kv.find(key);
   if (it == kv.end()) return 0;
   return std::strtoull(it->second.c_str(), nullptr, 10);
+}
+
+/// The latest snapshots of a fleet's alive daemons, for the node::
+/// predicates. A daemon that has not answered yet contributes a default
+/// snapshot, which satisfies none of them.
+template <class Fleet>
+auto alive_snapshots(const Fleet& f) {
+  const auto is_alive = [](const auto& entry) { return entry.second.alive; };
+  const auto snapshot = [](const auto& entry) -> const node::NodeSnapshot& {
+    return entry.second.snap;
+  };
+  return f.procs | std::views::filter(is_alive) |
+         std::views::transform(snapshot);
 }
 
 }  // namespace
@@ -120,47 +135,6 @@ IdSet ProcessRunner::targets_or_alive(const Fleet& f, const Action& a) const {
   return a.targets.empty() ? alive(f) : a.targets;
 }
 
-std::optional<IdSet> ProcessRunner::common_config(const Fleet& f) {
-  std::optional<IdSet> common;
-  for (const auto& [id, p] : f.procs) {
-    (void)id;
-    if (!p.alive) continue;
-    if (!p.sampled || !p.noreco || !p.cfg_proper || p.advised) {
-      return std::nullopt;
-    }
-    if (!common) {
-      common = p.cfg;
-    } else if (!(*common == p.cfg)) {
-      return std::nullopt;
-    }
-  }
-  return common;
-}
-
-bool ProcessRunner::vs_stable_now(const Fleet& f) {
-  if (!common_config(f)) return false;
-  bool any = false;
-  bool first = true;
-  std::uint64_t view = 0;
-  NodeId crd = kNoNode;
-  for (const auto& [id, p] : f.procs) {
-    (void)id;
-    if (!p.alive) continue;
-    if (!p.sampled || !p.has_vs) return false;
-    if (!p.participant) continue;  // joiners sync up after installation
-    if (!p.vs_multicast || p.vs_null || p.vs_no_crd) return false;
-    if (first) {
-      view = p.vs_view_digest;
-      crd = p.vs_crd;
-      first = false;
-    } else if (view != p.vs_view_digest || crd != p.vs_crd) {
-      return false;
-    }
-    any = true;
-  }
-  return any;
-}
-
 bool ProcessRunner::stalled(const Fleet& f) {
   bool any = false;
   for (const auto& [id, p] : f.procs) {
@@ -173,26 +147,15 @@ bool ProcessRunner::stalled(const Fleet& f) {
 }
 
 bool ProcessRunner::converged_sampled() const {
-  for (const Fleet& f : fleets_) {
-    if (!skipped(f) && !common_config(f)) return false;
-  }
-  return true;
-}
-
-void ProcessRunner::fail(const Action& a, const std::string& detail) {
-  if (failed_) return;
-  failed_ = true;
-  std::ostringstream os;
-  os << to_string(a.kind) << ": " << detail;
-  failure_ = os.str();
+  return std::all_of(fleets_.begin(), fleets_.end(), [this](const Fleet& f) {
+    return skipped(f) || node::common_config(alive_snapshots(f)).has_value();
+  });
 }
 
 void ProcessRunner::fail_node(const Fleet& f, NodeId id,
                               const std::string& what) {
-  if (failed_) return;
-  failed_ = true;
-  failure_ = (fleets_.size() > 1 ? f.name + ": " : std::string()) + "node " +
-             std::to_string(id) + " " + what;
+  fail((fleets_.size() > 1 ? f.name + ": " : std::string()) + "node " +
+       std::to_string(id) + " " + what);
 }
 
 // -- Process management ------------------------------------------------------
@@ -262,7 +225,7 @@ void ProcessRunner::spawn(Fleet& f, NodeId id, const std::string& peers_path) {
   p.pid = pid;
   p.alive = true;
   p.paused = false;
-  p.sampled = false;
+  p.snap = {};
   p.ops_harvested = 0;
 }
 
@@ -341,37 +304,22 @@ bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
   }
   if (reply->rfind("OK", 0) != 0) return false;
   const auto kv = ctl::parse_kv(reply->substr(2));
+  auto snap = ctl::parse_snapshot(kv);
+  // A missing or malformed node field counts as no answer: the next round
+  // asks again.
+  if (!snap || snap->id != id) return false;
   const std::uint64_t changes = parse_u64(kv, "cfgchanges");
-  p.noreco = parse_u64(kv, "noreco") != 0;
-  p.participant = parse_u64(kv, "part") != 0;
-  p.advised = parse_u64(kv, "adv") != 0;
-  const auto cfg_it = kv.find("cfg");
-  IdSet cfg;
-  if (cfg_it != kv.end() && cfg_it->second != "-") {
-    if (auto parsed = ctl::parse_ids(cfg_it->second)) cfg = *parsed;
-  }
-  p.cfg = cfg;
-  p.cfg_proper =
-      parse_u64(kv, "cfgtag") ==
-          static_cast<std::uint64_t>(reconf::ConfigValue::Tag::kSet) &&
-      !cfg.empty();
   p.incq = parse_u64(kv, "incq");
   p.shmq = parse_u64(kv, "shmq");
   p.sent = parse_u64(kv, "sent");
   p.recv = parse_u64(kv, "recv");
   p.syscalls = parse_u64(kv, "syscalls");
   p.batched = parse_u64(kv, "batched");
-  p.has_vs = kv.count("vsmc") != 0;
-  if (p.has_vs) {
-    p.vs_multicast = parse_u64(kv, "vsmc") != 0;
-    p.vs_null = parse_u64(kv, "vsnull") != 0;
-    p.vs_no_crd = parse_u64(kv, "vsnocrd") != 0;
-    p.vs_crd = static_cast<NodeId>(parse_u64(kv, "vscrd"));
-    p.vs_view_digest = parse_u64(kv, "vsview");
-  }
 
-  const std::uint64_t new_digest = TraceRecorder::digest(p.cfg);
-  if (p.sampled && changes > p.cfgchanges) {
+  const reconf::ConfigValue& cfg = snap->config;
+  const std::uint64_t new_digest =
+      TraceRecorder::digest(cfg.is_set() ? cfg.ids() : IdSet{});
+  if (p.sampled() && changes > p.cfgchanges) {
     // The daemon reconfigured since the last sample. The count is exact
     // (the daemon counts every change handler fire); the *values* are
     // sampled, so each of the missed changes is attributed the currently
@@ -380,21 +328,19 @@ bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
     for (std::uint64_t i = 0; i < delta; ++i) {
       f.registry->config_history().record(
           now(), id,
-          p.cfg_proper ? reconf::ConfigValue::set(p.cfg)
-                       : reconf::ConfigValue::bottom());
+          cfg.is_proper() ? cfg : reconf::ConfigValue::bottom());
     }
     f.trace.record(TraceKind::kConfigChange, id, new_digest, delta);
-  } else if (!p.sampled || new_digest != p.cfg_digest) {
+  } else if (!p.sampled() || cfg != p.snap.config) {
     f.trace.record(TraceKind::kNodeSample, id, new_digest,
-                   (p.noreco ? 2u : 0u) | (p.participant ? 1u : 0u));
+                   (snap->no_reco ? 2u : 0u) | (snap->participant ? 1u : 0u));
   }
   p.cfgchanges = changes;
-  p.cfg_digest = new_digest;
-  p.sampled = true;
+  p.snap = std::move(*snap);
   return true;
 }
 
-bool ProcessRunner::sample_all() {
+bool ProcessRunner::sample() {
   bool all = true;
   for (Fleet& f : fleets_) {
     for (auto& [id, p] : f.procs) {
@@ -730,69 +676,24 @@ void ProcessRunner::apply(const Action& a) {
     case ActionKind::kRunFor: {
       const SimTime deadline = now() + scaled(a.duration);
       while (now() < deadline && !failed_) {
-        sample_all();
+        sample();
         step_sleep();
       }
       return;
     }
-    case ActionKind::kAwaitConverged: {
-      if (!await(await_budget(a.duration),
-                 [&] { return converged_sampled(); })) {
-        if (!failed_) fail(a, "no convergence within the time budget");
-        return;
-      }
-      for (Fleet& g : fleets_) {
-        if (skipped(g)) continue;
-        g.trace.record(TraceKind::kConverged, kNoNode,
-                       TraceRecorder::digest(*common_config(g)));
-      }
+    case ActionKind::kAwaitConverged:
+    case ActionKind::kAwaitVsStable:
+    case ActionKind::kAwaitParticipants:
+    case ActionKind::kAwaitConfigEqualsAlive:
+      do_await(f, a);
       return;
-    }
-    case ActionKind::kAwaitVsStable: {
-      if (!spec_.enable_vs) {
-        fail(a, "await_vs_stable needs enable_vs in the spec");
-        return;
-      }
-      if (!await(await_budget(a.duration), [&] { return vs_stable_now(f); })) {
-        if (!failed_) fail(a, "VS layer did not stabilize");
-        return;
-      }
-      f.trace.record(TraceKind::kVsStable, kNoNode);
-      return;
-    }
-    case ActionKind::kAwaitParticipants: {
-      auto all_part = [&] {
-        for (NodeId id : a.targets) {
-          auto it = f.procs.find(id);
-          if (it == f.procs.end() || !it->second.alive ||
-              !it->second.sampled || !it->second.participant) {
-            return false;
-          }
-        }
-        return true;
-      };
-      if (!await(await_budget(a.duration), all_part) && !failed_) {
-        fail(a, "targets were not admitted as participants");
-      }
-      return;
-    }
-    case ActionKind::kAwaitConfigEqualsAlive: {
-      auto caught_up = [&] {
-        const auto c = common_config(f);
-        return c && *c == alive(f);
-      };
-      if (!await(await_budget(a.duration), caught_up) && !failed_) {
-        fail(a, "configuration did not catch up with the alive set");
-      }
-      return;
-    }
     case ActionKind::kMarkStable: {
       // Take a fresh sample of *every* node first, so changes that happened
       // before the window opened are not attributed into it. A transiently
       // unresponsive daemon (busy lap, loopback drop) gets retried — one
       // missed node here would turn into a spurious closure violation at
       // its next successful sample.
-      for (int lap = 0; lap < 20 && !sample_all() && !failed_; ++lap) {
+      for (int lap = 0; lap < 20 && !sample() && !failed_; ++lap) {
         step_sleep();
       }
       for (Fleet& g : fleets_) {
@@ -860,6 +761,34 @@ void ProcessRunner::apply(const Action& a) {
   }
 }
 
+void ProcessRunner::do_await(Fleet& f, const Action& a) {
+  if (a.kind == ActionKind::kAwaitVsStable && !spec_.enable_vs) {
+    fail(a, "await_vs_stable needs enable_vs in the spec");
+    return;
+  }
+  // await_converged spans every fleet; the other awaits look at fleet
+  // a.shard.
+  const bool every_fleet = a.kind == ActionKind::kAwaitConverged;
+  const auto met = [&] {
+    return every_fleet ? converged_sampled()
+                       : await_met(a, alive_snapshots(f));
+  };
+  if (!await(await_budget(a.duration), met)) {
+    fail(a, await_failure(a.kind));
+    return;
+  }
+  if (a.kind == ActionKind::kAwaitVsStable) {
+    f.trace.record(TraceKind::kVsStable, kNoNode);
+  }
+  if (!every_fleet) return;
+  for (Fleet& g : fleets_) {
+    if (skipped(g)) continue;
+    g.trace.record(
+        TraceKind::kConverged, kNoNode,
+        TraceRecorder::digest(*node::common_config(alive_snapshots(g))));
+  }
+}
+
 void ProcessRunner::do_increment_burst(Fleet& f, const Action& a) {
   IdSet queued;
   for (NodeId id : targets_or_alive(f, a)) {
@@ -879,7 +808,7 @@ void ProcessRunner::do_increment_burst(Fleet& f, const Action& a) {
   await(budget, [&] {
     for (NodeId id : queued) {
       const Proc& p = f.procs.at(id);
-      if (p.alive && !p.paused && (!p.sampled || p.incq != 0)) return false;
+      if (p.alive && !p.paused && (!p.sampled() || p.incq != 0)) return false;
     }
     return true;
   });
@@ -890,7 +819,7 @@ void ProcessRunner::do_keyed_increments(const Action& a) {
   KeyedWorkload::Fleets fleets;
   fleets.membership = [this](std::uint32_t s) {
     const Fleet& f = fleets_[s];
-    return common_config(f).value_or(alive(f));
+    return node::common_config(alive_snapshots(f)).value_or(alive(f));
   };
   // One routed attempt is one single-op burst on the target. A paused or
   // crashed target is skipped by the burst, so its await is instant and
@@ -929,14 +858,14 @@ void ProcessRunner::do_shmem(Fleet& f, const Action& a, bool write) {
   await(await_budget(160 * kSec), [&] {
     for (NodeId id : queued) {
       const Proc& p = f.procs.at(id);
-      if (p.alive && !p.paused && (!p.sampled || p.shmq != 0)) return false;
+      if (p.alive && !p.paused && (!p.sampled() || p.shmq != 0)) return false;
     }
     return true;
   });
   for (NodeId id : queued) {
     const Proc& p = f.procs.at(id);
     f.trace.record(TraceKind::kShmemOpDone, id,
-                   (p.sampled && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
+                   (p.sampled() && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
   }
 }
 

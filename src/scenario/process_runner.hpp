@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "node/snapshot.hpp"
 #include "scenario/backend.hpp"
 #include "scenario/control.hpp"
 #include "scenario/scenario.hpp"
@@ -104,11 +105,13 @@ class ProcessRunner final : public ScenarioBackend {
   /// Final harvest + invariant evaluation; call once, after the last step.
   ScenarioResult finish();
 
-  bool failed() const { return failed_; }
-  const std::string& failure() const { return failure_; }
-  /// One sampling round; true when every polled daemon answered.
-  bool sample() { return sample_all(); }
-  /// The await_converged predicate over the latest samples (no new
+  /// One STATUS round over every alive, unpaused node of every fleet.
+  /// Config changes observed since the previous round are recorded into
+  /// the fleet's trace and config-history monitor. An unreachable node is
+  /// checked against waitpid: an unexpected exit fails the scenario.
+  /// Returns true when every polled node answered this round.
+  bool sample();
+  /// The await_converged condition over the latest samples (no new
   /// sampling).
   bool converged_sampled() const;
 
@@ -119,15 +122,10 @@ class ProcessRunner final : public ScenarioBackend {
     std::uint16_t ctl_port = 0;
     bool alive = false;
     bool paused = false;
-    // Last STATUS sample (valid once sampled = true).
-    bool sampled = false;
-    bool noreco = false;
-    bool participant = false;
-    bool cfg_proper = false;
-    /// The prediction policy advises reconfiguring `cfg` (STATUS adv=).
-    bool advised = false;
-    IdSet cfg;
-    std::uint64_t cfg_digest = 0;
+    /// Node half of the last STATUS reply; default (satisfying no
+    /// predicate) until the daemon first answers.
+    node::NodeSnapshot snap;
+    // Daemon counters from the same reply.
     std::uint64_t cfgchanges = 0;
     std::uint64_t incq = 0;
     std::uint64_t shmq = 0;
@@ -135,16 +133,11 @@ class ProcessRunner final : public ScenarioBackend {
     std::uint64_t recv = 0;
     std::uint64_t syscalls = 0;  // sendmmsg+recvmmsg calls (STATUS syscalls=)
     std::uint64_t batched = 0;   // datagrams sharing a send syscall
-    // VS layer sample (valid when has_vs).
-    bool has_vs = false;
-    bool vs_multicast = false;
-    bool vs_null = true;
-    bool vs_no_crd = true;
-    NodeId vs_crd = kNoNode;
-    std::uint64_t vs_view_digest = 0;
     /// How many of the daemon's completed ops were already fed to the
     /// counter-order monitor (the OPS reply is append-only).
     std::size_t ops_harvested = 0;
+
+    bool sampled() const { return snap.id != kNoNode; }
   };
 
   /// One ssr_node fleet: its daemons, peer filters, trace, registry and
@@ -176,20 +169,11 @@ class ProcessRunner final : public ScenarioBackend {
   void kill_node(Fleet& f, NodeId id);
   void write_cohort_peer_map(const Fleet& f);
   bool collect_ports(Fleet& f, NodeId id);
-  void fail(const Action& a, const std::string& detail);
   /// Records a failure not tied to one action ("node 3 failed to start").
   void fail_node(const Fleet& f, NodeId id, const std::string& what);
 
   static IdSet alive(const Fleet& f);
   IdSet targets_or_alive(const Fleet& f, const Action& a) const;
-  /// World::common_config over the latest samples: set when every alive
-  /// node reports noReco and the same proper configuration, and no node's
-  /// prediction policy advises reconfiguring it.
-  static std::optional<IdSet> common_config(const Fleet& f);
-  /// World::vs_stable over the latest samples: converged, and every alive
-  /// participant multicasting in one common non-null view with one
-  /// coordinator.
-  static bool vs_stable_now(const Fleet& f);
   /// Every alive daemon of `f` is stopped. With more than one fleet,
   /// await_converged and mark_stable skip such a fleet.
   static bool stalled(const Fleet& f);
@@ -197,12 +181,6 @@ class ProcessRunner final : public ScenarioBackend {
     return fleets_.size() > 1 && stalled(f);
   }
 
-  /// One STATUS round over every alive, unpaused node of every fleet.
-  /// Config changes observed since the previous round are recorded into
-  /// the fleet's trace and config-history monitor. An unreachable node is
-  /// checked against waitpid: an unexpected exit fails the scenario.
-  /// Returns true when every polled node answered this round.
-  bool sample_all();
   bool sample_node(Fleet& f, NodeId id, Proc& p);
   /// Pulls completed operations from every alive node into the
   /// counter-order monitors (incremental; safe to call repeatedly).
@@ -214,7 +192,7 @@ class ProcessRunner final : public ScenarioBackend {
   bool await(SimTime budget, Pred pred) {
     const SimTime deadline = now() + budget;
     for (;;) {
-      sample_all();
+      sample();
       if (failed_) return false;
       if (pred()) return true;
       if (now() >= deadline) return pred();
@@ -228,6 +206,7 @@ class ProcessRunner final : public ScenarioBackend {
                        const std::string& cmd);
 
   void apply(const Action& a);
+  void do_await(Fleet& f, const Action& a);
   void do_increment_burst(Fleet& f, const Action& a);
   void do_keyed_increments(const Action& a);
   void do_shmem(Fleet& f, const Action& a, bool write);
@@ -242,8 +221,6 @@ class ProcessRunner final : public ScenarioBackend {
   ctl::ControlClient client_;
   std::vector<Fleet> fleets_;
   KeyedWorkload keyed_;
-  bool failed_ = false;
-  std::string failure_;
   bool ran_ = false;
   bool bootstrapped_ = false;
 };

@@ -1,7 +1,6 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -45,14 +44,6 @@ NodeId ScenarioRunner::add_fresh_node(Fleet& f) {
   f.registry->attach_node(id);
   f.trace->record(TraceKind::kNodeAdded, id);
   return id;
-}
-
-void ScenarioRunner::fail(const Action& a, const std::string& detail) {
-  if (failed_) return;
-  failed_ = true;
-  std::ostringstream os;
-  os << to_string(a.kind) << ": " << detail;
-  failure_ = os.str();
 }
 
 IdSet ScenarioRunner::targets_or_alive(Fleet& f, const Action& a) const {
@@ -219,54 +210,12 @@ void ScenarioRunner::apply(const Action& a) {
     case ActionKind::kRunFor:
       advance(a.duration);
       return;
-    case ActionKind::kAwaitConverged: {
-      auto converged = [&] {
-        for (const Fleet& g : fleets_) {
-          if (!skipped(g) && !g.world->converged()) return false;
-        }
-        return true;
-      };
-      if (!await(a.duration, converged)) {
-        fail(a, "no convergence within the time budget");
-        return;
-      }
-      for (Fleet& g : fleets_) {
-        if (skipped(g)) continue;
-        g.trace->record(TraceKind::kConverged, kNoNode,
-                        TraceRecorder::digest(*g.world->common_config()));
-      }
+    case ActionKind::kAwaitConverged:
+    case ActionKind::kAwaitVsStable:
+    case ActionKind::kAwaitParticipants:
+    case ActionKind::kAwaitConfigEqualsAlive:
+      do_await(f, a);
       return;
-    }
-    case ActionKind::kAwaitVsStable: {
-      if (!await(a.duration, [&] { return world.vs_stable(); })) {
-        fail(a, "VS layer did not stabilize");
-        return;
-      }
-      trace.record(TraceKind::kVsStable, kNoNode);
-      return;
-    }
-    case ActionKind::kAwaitParticipants: {
-      auto all_part = [&] {
-        for (NodeId id : a.targets) {
-          if (!world.node(id).recsa().is_participant()) return false;
-        }
-        return true;
-      };
-      if (!await(a.duration, all_part)) {
-        fail(a, "targets were not admitted as participants");
-      }
-      return;
-    }
-    case ActionKind::kAwaitConfigEqualsAlive: {
-      auto caught_up = [&] {
-        auto c = world.common_config();
-        return c && *c == world.alive();
-      };
-      if (!await(a.duration, caught_up)) {
-        fail(a, "configuration did not catch up with the alive set");
-      }
-      return;
-    }
     case ActionKind::kMarkStable:
       for (Fleet& g : fleets_) {
         if (skipped(g)) continue;
@@ -309,6 +258,31 @@ void ScenarioRunner::apply(const Action& a) {
     case ActionKind::kGrowMap:
       if (!keyed_.queue_growth()) fail(a, "the map already spans every fleet");
       return;
+  }
+}
+
+void ScenarioRunner::do_await(Fleet& f, const Action& a) {
+  // await_converged spans every fleet; the other awaits look at fleet
+  // a.shard.
+  const bool every_fleet = a.kind == ActionKind::kAwaitConverged;
+  const auto met = [&] {
+    if (!every_fleet) return await_met(a, f.world->snapshots());
+    return std::all_of(fleets_.begin(), fleets_.end(), [&](const Fleet& g) {
+      return skipped(g) || await_met(a, g.world->snapshots());
+    });
+  };
+  if (!await(a.duration, met)) {
+    fail(a, await_failure(a.kind));
+    return;
+  }
+  if (a.kind == ActionKind::kAwaitVsStable) {
+    f.trace->record(TraceKind::kVsStable, kNoNode);
+  }
+  if (!every_fleet) return;
+  for (Fleet& g : fleets_) {
+    if (skipped(g)) continue;
+    g.trace->record(TraceKind::kConverged, kNoNode,
+                    TraceRecorder::digest(*g.world->common_config()));
   }
 }
 
@@ -372,8 +346,7 @@ void ScenarioRunner::do_keyed_increments(const Action& a) {
   KeyedWorkload::Fleets fleets;
   fleets.membership = [this](std::uint32_t s) {
     const harness::World& world = *fleets_[s].world;
-    const auto common = world.common_config();
-    return common ? *common : world.alive();
+    return world.common_config().value_or(world.alive());
   };
   fleets.attempt = [this](std::uint32_t s, NodeId target) {
     Fleet& f = fleets_[s];

@@ -72,7 +72,6 @@ class ScenarioRunner final : public ScenarioBackend {
 
   void apply(const Action& a);
   NodeId add_fresh_node(Fleet& f);
-  void fail(const Action& a, const std::string& detail);
   IdSet targets_or_alive(Fleet& f, const Action& a) const;
   /// Every alive node of `f` is paused. With more than one fleet,
   /// await_converged and mark_stable skip such a fleet.
@@ -103,6 +102,7 @@ class ScenarioRunner final : public ScenarioBackend {
   Attempt increment_once(Fleet& f, NodeId id, SimTime busy_budget,
                          SimTime done_budget);
   void record_increment(Fleet& f, NodeId id, const PendingIncrement& st);
+  void do_await(Fleet& f, const Action& a);
   void do_increment_burst(Fleet& f, const Action& a);
   void do_keyed_increments(const Action& a);
   void do_shmem(Fleet& f, const Action& a, bool write);
@@ -116,8 +116,6 @@ class ScenarioRunner final : public ScenarioBackend {
   wire::BufferPool::Stats pool_at_start_;
   std::vector<Fleet> fleets_;
   KeyedWorkload keyed_;
-  bool failed_ = false;
-  std::string failure_;
 };
 
 /// Convenience: build, run, and summarize in one call.

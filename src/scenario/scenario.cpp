@@ -1,5 +1,7 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
+
 #include "scenario/trace.hpp"
 
 namespace ssr::scenario {
@@ -48,191 +50,136 @@ std::uint64_t Action::digest() const {
 }
 
 Action Action::add_nodes(std::uint64_t count) {
-  Action a;
-  a.kind = ActionKind::kAddNodes;
-  a.n = count;
-  return a;
+  return {.kind = ActionKind::kAddNodes, .n = count};
 }
 
 Action Action::crash(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kCrash;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kCrash, .targets = std::move(targets)};
 }
 
 Action Action::reboot(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kReboot;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kReboot, .targets = std::move(targets)};
 }
 
 Action Action::split_network(IdSet x, IdSet y) {
-  Action a;
-  a.kind = ActionKind::kSplitNetwork;
-  a.targets = std::move(x);
-  a.group_b = std::move(y);
-  return a;
+  return {.kind = ActionKind::kSplitNetwork, .targets = std::move(x),
+          .group_b = std::move(y)};
 }
 
-Action Action::heal_network() {
-  Action a;
-  a.kind = ActionKind::kHealNetwork;
-  return a;
-}
+Action Action::heal_network() { return {.kind = ActionKind::kHealNetwork}; }
 
 Action Action::corrupt_recsa(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kCorruptRecsa;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kCorruptRecsa, .targets = std::move(targets)};
 }
 
 Action Action::corrupt_fd(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kCorruptFd;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kCorruptFd, .targets = std::move(targets)};
 }
 
 Action Action::split_config_state(IdSet x, IdSet y) {
-  Action a;
-  a.kind = ActionKind::kSplitConfigState;
-  a.targets = std::move(x);
-  a.group_b = std::move(y);
-  return a;
+  return {.kind = ActionKind::kSplitConfigState, .targets = std::move(x),
+          .group_b = std::move(y)};
 }
 
 Action Action::garbage_channels(std::uint64_t per_channel) {
-  Action a;
-  a.kind = ActionKind::kGarbageChannels;
-  a.n = per_channel;
-  return a;
+  return {.kind = ActionKind::kGarbageChannels, .n = per_channel};
 }
 
 Action Action::plant_exhausted_counter(IdSet targets, std::uint64_t seqn) {
-  Action a;
-  a.kind = ActionKind::kPlantExhaustedCounter;
-  a.targets = std::move(targets);
-  a.n = seqn;
-  return a;
+  return {.kind = ActionKind::kPlantExhaustedCounter,
+          .targets = std::move(targets), .n = seqn};
 }
 
 Action Action::plant_recma_flags(IdSet targets, bool no_maj, bool need_reconf) {
-  Action a;
-  a.kind = ActionKind::kPlantRecmaFlags;
-  a.targets = std::move(targets);
-  a.n = (no_maj ? 1u : 0u) | (need_reconf ? 2u : 0u);
-  return a;
+  return {.kind = ActionKind::kPlantRecmaFlags, .targets = std::move(targets),
+          .n = (no_maj ? 1u : 0u) | (need_reconf ? 2u : 0u)};
 }
 
 Action Action::increment_burst(std::uint64_t ops_per_node, IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kIncrementBurst;
-  a.targets = std::move(targets);
-  a.n = ops_per_node;
-  return a;
+  return {.kind = ActionKind::kIncrementBurst, .targets = std::move(targets),
+          .n = ops_per_node};
 }
 
 Action Action::shmem_write(IdSet targets, std::string reg, std::uint64_t salt) {
-  Action a;
-  a.kind = ActionKind::kShmemWrite;
-  a.targets = std::move(targets);
-  a.reg = std::move(reg);
-  a.n = salt;
-  return a;
+  return {.kind = ActionKind::kShmemWrite, .targets = std::move(targets),
+          .n = salt, .reg = std::move(reg)};
 }
 
 Action Action::shmem_read(IdSet targets, std::string reg) {
-  Action a;
-  a.kind = ActionKind::kShmemRead;
-  a.targets = std::move(targets);
-  a.reg = std::move(reg);
-  return a;
+  return {.kind = ActionKind::kShmemRead, .targets = std::move(targets),
+          .reg = std::move(reg)};
 }
 
 Action Action::run_for(SimTime d) {
-  Action a;
-  a.kind = ActionKind::kRunFor;
-  a.duration = d;
-  return a;
+  return {.kind = ActionKind::kRunFor, .duration = d};
 }
 
 Action Action::await_converged(SimTime timeout) {
-  Action a;
-  a.kind = ActionKind::kAwaitConverged;
-  a.duration = timeout;
-  return a;
+  return {.kind = ActionKind::kAwaitConverged, .duration = timeout};
 }
 
 Action Action::await_vs_stable(SimTime timeout) {
-  Action a;
-  a.kind = ActionKind::kAwaitVsStable;
-  a.duration = timeout;
-  return a;
+  return {.kind = ActionKind::kAwaitVsStable, .duration = timeout};
 }
 
 Action Action::await_participants(IdSet targets, SimTime timeout) {
-  Action a;
-  a.kind = ActionKind::kAwaitParticipants;
-  a.targets = std::move(targets);
-  a.duration = timeout;
-  return a;
+  return {.kind = ActionKind::kAwaitParticipants, .targets = std::move(targets),
+          .duration = timeout};
 }
 
 Action Action::await_config_equals_alive(SimTime timeout) {
-  Action a;
-  a.kind = ActionKind::kAwaitConfigEqualsAlive;
-  a.duration = timeout;
-  return a;
+  return {.kind = ActionKind::kAwaitConfigEqualsAlive, .duration = timeout};
 }
 
-Action Action::mark_stable() {
-  Action a;
-  a.kind = ActionKind::kMarkStable;
-  return a;
-}
+Action Action::mark_stable() { return {.kind = ActionKind::kMarkStable}; }
 
-Action Action::crash_all() {
-  Action a;
-  a.kind = ActionKind::kCrashAll;
-  return a;
-}
+Action Action::crash_all() { return {.kind = ActionKind::kCrashAll}; }
 
 Action Action::await_quiescent(SimTime budget) {
-  Action a;
-  a.kind = ActionKind::kAwaitQuiescent;
-  a.duration = budget;
-  return a;
+  return {.kind = ActionKind::kAwaitQuiescent, .duration = budget};
 }
 
 Action Action::pause_nodes(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kPauseNodes;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kPauseNodes, .targets = std::move(targets)};
 }
 
 Action Action::resume_nodes(IdSet targets) {
-  Action a;
-  a.kind = ActionKind::kResumeNodes;
-  a.targets = std::move(targets);
-  return a;
+  return {.kind = ActionKind::kResumeNodes, .targets = std::move(targets)};
 }
 
 Action Action::keyed_increments(std::uint64_t count, std::string key_prefix) {
-  Action a;
-  a.kind = ActionKind::kKeyedIncrements;
-  a.n = count;
-  a.reg = std::move(key_prefix);
-  return a;
+  return {.kind = ActionKind::kKeyedIncrements, .n = count,
+          .reg = std::move(key_prefix)};
 }
 
-Action Action::grow_map() {
-  Action a;
-  a.kind = ActionKind::kGrowMap;
-  return a;
+Action Action::grow_map() { return {.kind = ActionKind::kGrowMap}; }
+
+bool spec_references_valid(const ScenarioSpec& spec) {
+  if (spec.initial_nodes == 0 || spec.shards == 0 ||
+      spec.map_shards > spec.shards) {
+    return false;
+  }
+  std::vector<std::uint64_t> minted(spec.shards, spec.initial_nodes);
+  std::uint32_t map_width = spec.initial_map_shards();
+  for (const Phase& phase : spec.phases) {
+    for (const Action& a : phase.actions) {
+      if (a.shard >= spec.shards) return false;
+      if (a.kind == ActionKind::kGrowMap && ++map_width > spec.shards) {
+        return false;
+      }
+      std::uint64_t& created = minted[a.shard];
+      const auto exists = [created](NodeId id) {
+        return id != 0 && id <= created;
+      };
+      if (!std::all_of(a.targets.begin(), a.targets.end(), exists) ||
+          !std::all_of(a.group_b.begin(), a.group_b.end(), exists)) {
+        return false;
+      }
+      if (a.kind == ActionKind::kAddNodes) created += a.n;
+      if (a.kind == ActionKind::kReboot) created += a.targets.size();
+    }
+  }
+  return true;
 }
 
 }  // namespace ssr::scenario

@@ -51,11 +51,11 @@ const char* to_string(ActionKind k);
 
 struct Action {
   ActionKind kind = ActionKind::kRunFor;
-  IdSet targets;
-  IdSet group_b;
+  IdSet targets = {};
+  IdSet group_b = {};
   std::uint64_t n = 0;
   SimTime duration = 0;
-  std::string reg;
+  std::string reg = {};
   /// Fleet the action applies to (ScenarioSpec::shards). run_for,
   /// await_converged and mark_stable span every fleet; keyed increments
   /// pick their fleet per key.
@@ -152,5 +152,13 @@ struct ScenarioSpec {
     return shards == 1 ? seed : seed + 0x9E3779B97F4A7C15ULL * (s + 1);
   }
 };
+
+/// True when every fleet and node id the spec names exists by the time it is
+/// used: a.shard < shards; the initial map and each grow_map stay within
+/// the fleets; and ids are 1-based and minted per fleet in order — the
+/// initial cohort, then one per add_nodes unit and one per reboot target.
+/// load_spec refuses spec files that fail it; the fuzzer generates and
+/// shrinks only inside it.
+bool spec_references_valid(const ScenarioSpec& spec);
 
 }  // namespace ssr::scenario

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/parse.hpp"
+
 namespace ssr::scenario {
 namespace {
 
@@ -13,24 +15,6 @@ constexpr const char* kMagic = "ssrspec v1";
 /// Fleets one spec may declare: each is a whole protocol stack (a process
 /// fleet under the process backend), so a file cannot ask for millions.
 constexpr std::uint64_t kMaxShards = 64;
-
-/// Every ActionKind, for the name -> kind reverse map. Kept in enum order;
-/// a kind missing here would fail the spec_io round-trip test.
-constexpr ActionKind kAllKinds[] = {
-    ActionKind::kAddNodes,       ActionKind::kCrash,
-    ActionKind::kReboot,         ActionKind::kSplitNetwork,
-    ActionKind::kHealNetwork,    ActionKind::kCorruptRecsa,
-    ActionKind::kCorruptFd,      ActionKind::kSplitConfigState,
-    ActionKind::kGarbageChannels, ActionKind::kPlantExhaustedCounter,
-    ActionKind::kPlantRecmaFlags, ActionKind::kIncrementBurst,
-    ActionKind::kShmemWrite,     ActionKind::kShmemRead,
-    ActionKind::kRunFor,         ActionKind::kAwaitConverged,
-    ActionKind::kAwaitVsStable,  ActionKind::kAwaitParticipants,
-    ActionKind::kAwaitConfigEqualsAlive, ActionKind::kMarkStable,
-    ActionKind::kCrashAll,       ActionKind::kAwaitQuiescent,
-    ActionKind::kPauseNodes,     ActionKind::kResumeNodes,
-    ActionKind::kKeyedIncrements, ActionKind::kGrowMap,
-};
 
 void write_ids(std::ostream& os, const IdSet& ids) {
   bool first = true;
@@ -57,25 +41,6 @@ bool parse_ids(const std::string& s, IdSet& out) {
     }
   }
   return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return *end == '\0';
-}
-
-bool parse_bool(const std::string& s, bool& out) {
-  if (s == "0") {
-    out = false;
-    return true;
-  }
-  if (s == "1") {
-    out = true;
-    return true;
-  }
-  return false;
 }
 
 /// Splits "key rest-of-line"; returns false on a blank line.
@@ -112,8 +77,12 @@ bool take_field(std::string& rest, const char* name, std::string& value) {
 }  // namespace
 
 std::optional<ActionKind> action_kind_from_string(const std::string& name) {
-  for (ActionKind k : kAllKinds) {
-    if (name == to_string(k)) return k;
+  // The kinds are numbered densely, kAddNodes through kGrowMap.
+  for (auto k = static_cast<int>(ActionKind::kAddNodes);
+       k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
+    if (name == to_string(static_cast<ActionKind>(k))) {
+      return static_cast<ActionKind>(k);
+    }
   }
   return std::nullopt;
 }
@@ -173,25 +142,25 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       spec.description = rest;
     } else if (key == "nodes") {
       std::uint64_t v = 0;
-      if (!parse_u64(rest, v)) return std::nullopt;
+      if (!parse_uint(rest, v)) return std::nullopt;
       spec.initial_nodes = static_cast<std::size_t>(v);
     } else if (key == "vs") {
-      if (!parse_bool(rest, spec.enable_vs)) return std::nullopt;
+      if (!parse_flag(rest, spec.enable_vs)) return std::nullopt;
     } else if (key == "aggressive") {
-      if (!parse_bool(rest, spec.aggressive_policy)) return std::nullopt;
+      if (!parse_flag(rest, spec.aggressive_policy)) return std::nullopt;
     } else if (key == "adopt_joiners") {
-      if (!parse_bool(rest, spec.adopt_joiners)) return std::nullopt;
+      if (!parse_flag(rest, spec.adopt_joiners)) return std::nullopt;
     } else if (key == "corrupt_prob") {
       char* end = nullptr;
       spec.corrupt_probability = std::strtod(rest.c_str(), &end);
       if (end == rest.c_str() || *end != '\0') return std::nullopt;
     } else if (key == "exhaust_bound") {
-      if (!parse_u64(rest, spec.exhaust_bound)) return std::nullopt;
+      if (!parse_uint(rest, spec.exhaust_bound)) return std::nullopt;
     } else if (key == "adversarial") {
-      if (!parse_bool(rest, spec.adversarial)) return std::nullopt;
+      if (!parse_flag(rest, spec.adversarial)) return std::nullopt;
     } else if (key == "shards" || key == "map_shards") {
       std::uint64_t v = 0;
-      if (!parse_u64(rest, v) || v > kMaxShards) return std::nullopt;
+      if (!parse_uint(rest, v) || v > kMaxShards) return std::nullopt;
       (key == "shards" ? spec.shards : spec.map_shards) =
           static_cast<std::uint32_t>(v);
     } else if (key == "phase") {
@@ -212,17 +181,17 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!take_field(rest, "group", field) || !parse_ids(field, a.group_b)) {
         return std::nullopt;
       }
-      if (!take_field(rest, "n", field) || !parse_u64(field, a.n)) {
+      if (!take_field(rest, "n", field) || !parse_uint(field, a.n)) {
         return std::nullopt;
       }
       std::uint64_t dur = 0;
-      if (!take_field(rest, "duration", field) || !parse_u64(field, dur)) {
+      if (!take_field(rest, "duration", field) || !parse_uint(field, dur)) {
         return std::nullopt;
       }
       a.duration = static_cast<SimTime>(dur);
       if (take_field(rest, "shard", field)) {
         std::uint64_t shard = 0;
-        if (!parse_u64(field, shard) || shard >= kMaxShards) {
+        if (!parse_uint(field, shard) || shard >= kMaxShards) {
           return std::nullopt;
         }
         a.shard = static_cast<std::uint32_t>(shard);
@@ -238,20 +207,10 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       return std::nullopt;
     }
   }
-  if (!ended || spec.name.empty() || spec.initial_nodes == 0) {
+  // Spec files are outside input: every fleet and node they name must
+  // exist.
+  if (!ended || spec.name.empty() || !spec_references_valid(spec)) {
     return std::nullopt;
-  }
-  // Spec files are outside input: every fleet an action, the initial map
-  // or a grow_map names must exist.
-  if (spec.shards == 0 || spec.map_shards > spec.shards) return std::nullopt;
-  std::uint32_t map_width = spec.initial_map_shards();
-  for (const Phase& phase : spec.phases) {
-    for (const Action& a : phase.actions) {
-      if (a.shard >= spec.shards) return std::nullopt;
-      if (a.kind == ActionKind::kGrowMap && ++map_width > spec.shards) {
-        return std::nullopt;
-      }
-    }
   }
   return spec;
 }

@@ -39,8 +39,8 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec);
 std::string spec_to_string(const ScenarioSpec& spec);
 
 /// Parses the save_spec format; nullopt on any malformed or unknown line,
-/// and on a spec naming a fleet it does not have (shard >= shards,
-/// map_shards > shards, or more grow_maps than fleets beyond the map).
+/// and on a spec naming a fleet or node it does not have
+/// (spec_references_valid).
 std::optional<ScenarioSpec> load_spec(std::istream& is);
 
 /// File-path convenience wrappers. save returns false when the file cannot

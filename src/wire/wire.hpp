@@ -136,6 +136,8 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const Bytes& data) : data_(data) {}
+  /// The reader keeps a reference: a temporary buffer would dangle.
+  Reader(Bytes&&) = delete;
 
   std::uint8_t u8();
   std::uint16_t u16();

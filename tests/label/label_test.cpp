@@ -15,6 +15,13 @@ Label mk(NodeId creator, std::uint32_t sting,
   return l;
 }
 
+/// next_label over labels held by value, through a pointer list.
+Label next_of(NodeId creator, const std::vector<Label>& known, Rng& rng) {
+  std::vector<const Label*> ptrs;
+  for (const Label& l : known) ptrs.push_back(&l);
+  return Label::next_label(creator, ptrs, rng);
+}
+
 TEST(Label, CancelsRequiresBothDirections) {
   // b cancels a: a's sting is in b's antistings, b's sting not in a's.
   Label a = mk(1, 10, {});
@@ -49,7 +56,7 @@ TEST(Label, NextLabelDominatesKnown) {
   Rng rng(5);
   std::vector<Label> known;
   for (std::uint32_t s = 100; s < 110; ++s) known.push_back(mk(3, s, {s + 1}));
-  Label next = Label::next_label(3, known, rng);
+  Label next = next_of(3, known, rng);
   EXPECT_EQ(next.creator, 3u);
   for (const Label& k : known) {
     EXPECT_TRUE(Label::cancels(k, next)) << k.to_string();
@@ -59,7 +66,7 @@ TEST(Label, NextLabelDominatesKnown) {
 TEST(Label, NextLabelIgnoresForeignCreators) {
   Rng rng(7);
   std::vector<Label> known{mk(9, 1, {2})};
-  Label next = Label::next_label(3, known, rng);
+  Label next = next_of(3, known, rng);
   EXPECT_EQ(next.creator, 3u);
   EXPECT_TRUE(next.antistings.empty());
 }
@@ -69,7 +76,7 @@ TEST(Label, NextLabelChainGrows) {
   Rng rng(11);
   std::vector<Label> known;
   for (int i = 0; i < 20; ++i) {
-    Label next = Label::next_label(1, known, rng);
+    Label next = next_of(1, known, rng);
     for (const Label& k : known) EXPECT_TRUE(Label::cancels(k, next));
     known.insert(known.begin(), next);
     if (known.size() > Label::kAntistings) known.pop_back();

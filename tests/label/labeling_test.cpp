@@ -82,7 +82,7 @@ TEST(Labeling, NonMemberLabelsPurged) {
   ASSERT_TRUE(run_until_labels_agree(w, 120 * kSec));
   // Plant a label by a non-member creator (id 99) as node 1's max.
   Rng rng(850);
-  label::Label foreign = label::Label::next_label(99, std::vector<label::Label>{}, rng);
+  label::Label foreign = label::Label::next_label(99, {}, rng);
   w.node(1).labeling().store().inject_max(2, label::LabelPair::of(foreign));
   ASSERT_TRUE(run_until_labels_agree(w, 120 * kSec));
   for (NodeId id = 1; id <= 3; ++id) {
@@ -100,7 +100,7 @@ TEST(Labeling, ConvergesFromCorruptedStores) {
   for (NodeId id = 1; id <= 3; ++id) {
     auto& store = w.node(id).labeling().store();
     for (NodeId j = 1; j <= 3; ++j) {
-      label::Label junk = label::Label::next_label(j, std::vector<label::Label>{}, rng);
+      label::Label junk = label::Label::next_label(j, {}, rng);
       junk.sting = static_cast<std::uint32_t>(rng.next_below(1000));
       store.inject_max(j, label::LabelPair::of(junk));
       store.inject_stored(j, label::LabelPair::of(junk));

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -61,6 +62,126 @@ TEST(ControlProtocol, KvAndHexRoundtrip) {
   EXPECT_EQ(*back, blob);
   EXPECT_FALSE(hex_decode("abc").has_value());   // odd length
   EXPECT_FALSE(hex_decode("zz").has_value());    // bad digit
+}
+
+// -- STATUS node snapshot -----------------------------------------------------
+
+using node::NodeSnapshot;
+using reconf::ConfigValue;
+
+vs::View sample_view() {
+  vs::View v;
+  v.id.lbl.creator = 2;
+  v.id.lbl.sting = 1234;
+  v.id.lbl.antistings = {3, 9, 40};
+  v.id.seqn = 41;
+  v.id.wid = 2;
+  v.set = {1, 2, 3};
+  return v;
+}
+
+/// Every ConfigValue tag, each with the VS layer off, on with a null view,
+/// and on with a real one.
+std::vector<NodeSnapshot> sample_snapshots() {
+  std::vector<NodeSnapshot> out;
+  for (const ConfigValue& cfg :
+       {ConfigValue::non_participant(), ConfigValue::bottom(),
+        ConfigValue::set({}), ConfigValue::set({1, 2, 3})}) {
+    for (int layer = 0; layer < 3; ++layer) {
+      NodeSnapshot& s = out.emplace_back();
+      s.id = 7;
+      s.no_reco = cfg.is_set();
+      s.participant = !cfg.is_non_participant();
+      s.config = cfg;
+      s.advised = cfg.is_proper();
+      if (layer == 0) continue;
+      NodeSnapshot::Vs& v = s.vs.emplace();
+      v.multicast = layer == 2;
+      v.no_coordinator = layer == 1;
+      v.coordinator = layer == 1 ? kNoNode : 2;
+      if (layer == 2) v.view = sample_view();
+    }
+  }
+  return out;
+}
+
+NodeSnapshot vs_snapshot() { return sample_snapshots().back(); }
+
+TEST(StatusSnapshot, RoundTripsThroughTheStatusReply) {
+  for (const NodeSnapshot& s : sample_snapshots()) {
+    // As ssr_node replies: the snapshot, then the daemon counters.
+    const std::string payload =
+        format_snapshot(s) + " cfgchanges=4 sent=10 recv=9 syscalls=3";
+    const auto back = parse_snapshot(parse_kv(payload));
+    ASSERT_TRUE(back.has_value()) << payload;
+    EXPECT_EQ(*back, s) << payload;
+    EXPECT_EQ(payload.find("vsnull"), std::string::npos);
+  }
+}
+
+TEST(StatusSnapshot, WritesTheDocumentedKeys) {
+  const auto kv = parse_kv(format_snapshot(vs_snapshot()));
+  EXPECT_EQ(kv.at("id"), "7");
+  EXPECT_EQ(kv.at("noreco"), "1");
+  EXPECT_EQ(kv.at("part"), "1");
+  EXPECT_EQ(kv.at("cfgtag"), "2");
+  EXPECT_EQ(kv.at("cfg"), "1,2,3");
+  EXPECT_EQ(kv.at("adv"), "1");
+  EXPECT_EQ(kv.at("vsmc"), "1");
+  EXPECT_EQ(kv.at("vsnocrd"), "0");
+  EXPECT_EQ(kv.at("vscrd"), "2");
+  wire::Writer w;
+  sample_view().encode(w);
+  EXPECT_EQ(kv.at("vsview"), hex_encode(w.take()));
+  EXPECT_EQ(kv.size(), 10u);
+}
+
+TEST(StatusSnapshot, ParseRejectsMalformedNodeFields) {
+  const auto good = parse_kv(format_snapshot(vs_snapshot()));
+  ASSERT_TRUE(parse_snapshot(good).has_value());
+  const auto with = [&good](std::map<std::string, std::string> changes) {
+    auto kv = good;
+    for (const auto& [k, v] : changes) kv[k] = v;
+    return parse_snapshot(kv).has_value();
+  };
+
+  for (const auto& [key, value] : good) {  // every node key is required
+    auto kv = good;
+    kv.erase(key);
+    EXPECT_FALSE(parse_snapshot(kv).has_value()) << key;
+  }
+  EXPECT_FALSE(with({{"cfgtag", "3"}}));
+  EXPECT_FALSE(with({{"cfgtag", "x"}}));
+  EXPECT_FALSE(with({{"cfgtag", "258"}}));  // 2 in a u8 cast
+  EXPECT_FALSE(with({{"noreco", "2"}}));
+  EXPECT_FALSE(with({{"id", "-1"}}));
+  EXPECT_FALSE(with({{"id", "4294967296"}}));
+  EXPECT_FALSE(with({{"vscrd", "1x"}}));
+  // A cfg that contradicts its tag: only a set carries ids.
+  EXPECT_FALSE(with({{"cfgtag", "0"}}));
+  EXPECT_FALSE(with({{"cfgtag", "1"}}));
+  EXPECT_TRUE(with({{"cfgtag", "1"}, {"cfg", "-"}}));
+  EXPECT_FALSE(with({{"cfg", "1,,2"}}));
+  // The view: bad hex, undecodable, trailing bytes.
+  EXPECT_FALSE(with({{"vsview", "zz"}}));
+  EXPECT_FALSE(with({{"vsview", good.at("vsview") + "0"}}));
+  EXPECT_FALSE(with({{"vsview", "00"}}));
+  EXPECT_FALSE(with({{"vsview", good.at("vsview") + "00"}}));
+  EXPECT_FALSE(with({{"vsview", good.at("vsview").substr(2)}}));
+}
+
+TEST(StatusSnapshot, ParseSurvivesTruncatedReplies) {
+  // Every prefix of a reply parses or is rejected; none crashes. A prefix
+  // that ends before the VS keys reads as a node without the layer, which
+  // no VS await accepts; any other accepted prefix is the whole reply.
+  const NodeSnapshot full = vs_snapshot();
+  const std::string payload = format_snapshot(full);
+  for (std::size_t n = 0; n <= payload.size(); ++n) {
+    const auto s = parse_snapshot(parse_kv(payload.substr(0, n)));
+    if (s && s->vs) {
+      EXPECT_EQ(*s, full) << payload.substr(0, n);
+    }
+  }
 }
 
 TEST(ControlEndpoints, RequestReplyOverLoopback) {

@@ -50,7 +50,7 @@ TEST(Fuzzer, GeneratedSpecsStayInsideTheValidityModel) {
   const Fuzzer fuzzer(opt);
   for (std::uint64_t i = 0; i < 64; ++i) {
     const ScenarioSpec spec = fuzzer.generate(i);
-    EXPECT_TRUE(Fuzzer::spec_references_valid(spec)) << spec.name;
+    EXPECT_TRUE(spec_references_valid(spec)) << spec.name;
     ASSERT_GE(spec.phases.size(), 2u) << spec.name;
     // Every generated run starts from a converged cohort and ends with a
     // settle phase that heals partitions before the final await.
@@ -73,25 +73,35 @@ TEST(Fuzzer, SpecReferencesValidTracksMintedIds) {
   s.name = "v";
   s.initial_nodes = 3;
   s.phases.push_back(Phase{"p", {A::crash({3})}});
-  EXPECT_TRUE(Fuzzer::spec_references_valid(s));
+  EXPECT_TRUE(spec_references_valid(s));
 
   s.phases[0].actions = {A::crash({4})};  // never created
-  EXPECT_FALSE(Fuzzer::spec_references_valid(s));
+  EXPECT_FALSE(spec_references_valid(s));
 
   s.phases[0].actions = {A::add_nodes(1), A::crash({4})};  // created first
-  EXPECT_TRUE(Fuzzer::spec_references_valid(s));
+  EXPECT_TRUE(spec_references_valid(s));
 
   s.phases[0].actions = {A::crash({4}), A::add_nodes(1)};  // created late
-  EXPECT_FALSE(Fuzzer::spec_references_valid(s));
+  EXPECT_FALSE(spec_references_valid(s));
 
   s.phases[0].actions = {A::reboot({2}), A::crash({4})};  // reboot mints 4
-  EXPECT_TRUE(Fuzzer::spec_references_valid(s));
+  EXPECT_TRUE(spec_references_valid(s));
 
   s.phases[0].actions = {A::split_network({1, 2}, {3, 9})};
-  EXPECT_FALSE(Fuzzer::spec_references_valid(s));  // group_b checked too
+  EXPECT_FALSE(spec_references_valid(s));  // group_b checked too
 
   s.phases[0].actions = {A::crash({0})};
-  EXPECT_FALSE(Fuzzer::spec_references_valid(s));  // ids are 1-based
+  EXPECT_FALSE(spec_references_valid(s));  // ids are 1-based
+
+  // Each fleet mints its own ids, and an action names an existing fleet.
+  s.shards = 2;
+  s.phases[0].actions = {A::add_nodes(1).on_shard(1),
+                         A::crash({4}).on_shard(1)};
+  EXPECT_TRUE(spec_references_valid(s));
+  s.phases[0].actions = {A::add_nodes(1).on_shard(1), A::crash({4})};
+  EXPECT_FALSE(spec_references_valid(s));
+  s.phases[0].actions = {A::crash({1}).on_shard(2)};
+  EXPECT_FALSE(spec_references_valid(s));
 }
 
 TEST(Fuzzer, FailureSignatureRanksViolationsFirst) {

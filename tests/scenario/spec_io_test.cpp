@@ -214,6 +214,38 @@ TEST(SpecIo, RejectsFleetsTheSpecDoesNotHave) {
                       keyed + grow + grow + keyed + "end\n"));
 }
 
+TEST(SpecIo, RejectsNodesTheFleetNeverCreates) {
+  const auto rejects = [](const std::string& text) {
+    std::istringstream in(text);
+    return !load_spec(in).has_value();
+  };
+  const std::string head = "ssrspec v1\nname x\nnodes 3\nphase p\n"
+                           "action await_converged targets= group= n=0 "
+                           "duration=60000000 reg=\n";
+  // Both used to abort a runner: the simulator on an unknown node id, the
+  // process backend on an uncaught std::out_of_range.
+  EXPECT_TRUE(rejects(head +
+                      "action await_participants targets=99 group= n=0 "
+                      "duration=60000000 reg=\nend\n"));
+  EXPECT_TRUE(rejects(head +
+                      "action corrupt_recsa targets=99 group= n=0 "
+                      "duration=0 reg=\nend\n"));
+  EXPECT_FALSE(rejects(head +
+                       "action corrupt_recsa targets=3 group= n=0 "
+                       "duration=0 reg=\nend\n"));
+  // Ids are counted per fleet: add_nodes on fleet 1 mints 4 there only.
+  const std::string two = "ssrspec v1\nname x\nnodes 3\nshards 2\n"
+                          "phase p\n"
+                          "action add_nodes targets= group= n=1 duration=0 "
+                          "shard=1 reg=\n";
+  EXPECT_FALSE(rejects(two +
+                       "action crash targets=4 group= n=0 duration=0 "
+                       "shard=1 reg=\nend\n"));
+  EXPECT_TRUE(rejects(two +
+                      "action crash targets=4 group= n=0 duration=0 "
+                      "reg=\nend\n"));
+}
+
 TEST(SpecIo, FileRoundTrip) {
   const ScenarioSpec original = kitchen_sink();
   const std::string path = testing::TempDir() + "/spec_io_test.spec";

@@ -77,7 +77,8 @@ TEST(ShardMap, DecodeRejectsCorruptMaps) {
   EXPECT_FALSE(ShardMap::decode(r2).has_value());
 
   // Truncated image.
-  wire::Reader r3(wire::Bytes{1, 2, 3});
+  const wire::Bytes truncated{1, 2, 3};
+  wire::Reader r3(truncated);
   EXPECT_FALSE(ShardMap::decode(r3).has_value());
 }
 

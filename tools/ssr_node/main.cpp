@@ -49,8 +49,8 @@
 #include "label/label.hpp"
 #include "net/udp_transport.hpp"
 #include "node/node.hpp"
+#include "node/snapshot.hpp"
 #include "scenario/control.hpp"
-#include "scenario/trace.hpp"
 #include "util/wallclock.hpp"
 
 namespace {
@@ -87,19 +87,6 @@ int usage() {
                "                [--seed R] [--aggressive] [--adopt-joiners]\n"
                "                [--port-file FILE] [--batch N=16]\n");
   return 2;
-}
-
-std::string format_ids(const IdSet& ids) {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  for (NodeId id : ids) {
-    if (!first) os << ',';
-    os << id;
-    first = false;
-  }
-  os << '}';
-  return os.str();
 }
 
 /// One parse of the peers file; nullopt when unreadable. Lines that do not
@@ -173,7 +160,7 @@ class Daemon {
     node_->start(seed_peers);
     std::printf("SSR_NODE_START id=%u shard=%u port=%u control=%u peers=%s\n",
                 opt_.id, opt_.shard, transport_.local_port(), control_.port(),
-                format_ids(seed_peers).c_str());
+                seed_peers.to_string().c_str());
     std::fflush(stdout);
     if (!opt_.port_file.empty()) {
       // Written atomically (rename) so a half-written file is never read.
@@ -207,7 +194,7 @@ class Daemon {
         converged_ = true;
         pending_increments_ += opt_.increments;
         std::printf("CONVERGED t=%.1fs config=%s\n", t,
-                    format_ids(cfg.ids()).c_str());
+                    cfg.to_string().c_str());
         std::fflush(stdout);
       }
       if (converged_ && increments_done_ >= opt_.increments &&
@@ -218,12 +205,7 @@ class Daemon {
       }
       if (transport_.now() >= next_status) {
         next_status += 5 * kSec;
-        std::printf(
-            "STATUS t=%.1fs trusted=%zu config=%s sent=%llu recv=%llu\n", t,
-            node_->failure_detector().trusted().size(),
-            format_ids(cfg.ids()).c_str(),
-            static_cast<unsigned long long>(transport_.stats().sent),
-            static_cast<unsigned long long>(transport_.stats().received));
+        std::printf("STATUS %s\n", status().c_str());
         std::fflush(stdout);
       }
     }
@@ -326,54 +308,33 @@ class Daemon {
     }
   }
 
+  /// The STATUS body: the node snapshot, then the daemon counters.
+  std::string status() {
+    namespace ctl = scenario::ctl;
+    const net::UdpTransport::Stats& ts = transport_.stats();
+    std::ostringstream os;
+    os << ctl::format_snapshot(node::NodeSnapshot::of(*node_))
+       << " shard=" << transport_.config().shard << " t=" << transport_.now()
+       << " abs=" << steady_usec() << " cfgchanges=" << config_changes_
+       << " trusted=" << ctl::format_ids(node_->failure_detector().trusted())
+       << " incq=" << pending_increments_ << " incdone=" << increments_done_
+       << " incabort=" << increments_aborted_
+       << " shmq=" << shmem_queue_.size() << " shmok=" << shmem_ok_
+       << " shmfail=" << shmem_failed_ << " sent=" << ts.sent
+       << " recv=" << ts.received << " malformed=" << ts.dropped_malformed
+       << " wrongshard=" << ts.dropped_wrong_shard
+       << " filtin=" << ts.filtered_in << " filtout=" << ts.filtered_out
+       << " syscalls=" << ts.send_syscalls + ts.recv_syscalls
+       << " batched=" << ts.batched_sends << " noroute=" << ts.no_route
+       << " sendfail=" << ts.send_failures << " partial=" << ts.send_partial
+       << " recverr=" << ts.recv_errors;
+    return os.str();
+  }
+
   std::string handle_control(const scenario::ctl::Request& req) {
     namespace ctl = scenario::ctl;
     const auto& a = req.args;
-    if (req.cmd == "STATUS") {
-      const reconf::ConfigValue cfg = node_->recsa().get_config();
-      std::ostringstream os;
-      os << "OK id=" << opt_.id << " shard=" << transport_.config().shard
-         << " t=" << transport_.now()
-         << " abs=" << steady_usec()
-         << " noreco=" << (node_->recsa().no_reco() ? 1 : 0)
-         << " part=" << (node_->recsa().is_participant() ? 1 : 0)
-         << " cfgtag=" << static_cast<int>(cfg.tag())
-         << " cfg=" << (cfg.is_set() ? ctl::format_ids(cfg.ids()) : "-")
-         // The policy is only defined over a set configuration.
-         << " adv=" << (cfg.is_set() && node_->reconfig_advised() ? 1 : 0)
-         << " cfgchanges=" << config_changes_
-         << " trusted=" << ctl::format_ids(node_->failure_detector().trusted())
-         << " incq=" << pending_increments_
-         << " incdone=" << increments_done_
-         << " incabort=" << increments_aborted_
-         << " shmq=" << shmem_queue_.size() << " shmok=" << shmem_ok_
-         << " shmfail=" << shmem_failed_
-         << " sent=" << transport_.stats().sent
-         << " recv=" << transport_.stats().received
-         << " malformed=" << transport_.stats().dropped_malformed
-         << " wrongshard=" << transport_.stats().dropped_wrong_shard
-         << " filtin=" << transport_.stats().filtered_in
-         << " filtout=" << transport_.stats().filtered_out
-         << " syscalls=" << transport_.stats().send_syscalls +
-                                transport_.stats().recv_syscalls
-         << " batched=" << transport_.stats().batched_sends
-         << " noroute=" << transport_.stats().no_route
-         << " sendfail=" << transport_.stats().send_failures
-         << " partial=" << transport_.stats().send_partial
-         << " recverr=" << transport_.stats().recv_errors;
-      if (auto* v = node_->vs()) {
-        const vs::View& view = v->view();
-        std::uint64_t vd = scenario::TraceRecorder::kFnvBasis;
-        vd = scenario::TraceRecorder::mix(vd, view.id.seqn);
-        vd = scenario::TraceRecorder::mix(vd, view.id.wid);
-        for (NodeId m : view.set) vd = scenario::TraceRecorder::mix(vd, m);
-        os << " vsmc=" << (v->status() == vs::Status::kMulticast ? 1 : 0)
-           << " vsnull=" << (view.is_null() ? 1 : 0)
-           << " vsnocrd=" << (v->no_coordinator() ? 1 : 0)
-           << " vscrd=" << v->coordinator() << " vsview=" << vd;
-      }
-      return os.str();
-    }
+    if (req.cmd == "STATUS") return "OK " + status();
     if (req.cmd == "BLOCK" && a.size() == 1) {
       auto ids = ctl::parse_ids(a[0]);
       if (!ids) return "ERR bad id list";
@@ -452,7 +413,7 @@ class Daemon {
     }
     if (req.cmd == "PLANT_CTR" && a.size() == 1) {
       counter::Counter c;
-      c.lbl = label::Label::next_label(opt_.id, std::vector<label::Label>{}, corrupt_rng_);
+      c.lbl = label::Label::next_label(opt_.id, {}, corrupt_rng_);
       c.seqn = std::strtoull(a[0].c_str(), nullptr, 10);
       c.wid = opt_.id;
       node_->counters().store().inject_max(opt_.id,
