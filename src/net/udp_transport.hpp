@@ -47,7 +47,7 @@ struct UdpTransportConfig {
   /// into a `batch`-deep mmsghdr ring flushed with one sendmmsg — on ring
   /// full, on Transport::flush() at tick boundaries, and before any poll
   /// sleep; receives drain up to `batch` datagrams per recvmmsg. 1 degrades
-  /// to one syscall per datagram (the A/B baseline for `--batch=1`).
+  /// to one syscall per datagram (the unbatched A/B baseline).
   std::size_t batch = 16;
 };
 

@@ -1,6 +1,7 @@
 #include "scenario/backend.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -33,21 +34,6 @@ void head_line(std::ostream& os, const ScenarioResult& r) {
 }
 
 }  // namespace
-
-std::string await_failure(ActionKind kind) {
-  switch (kind) {
-    case ActionKind::kAwaitConverged:
-      return "no convergence within the time budget";
-    case ActionKind::kAwaitVsStable:
-      return "VS layer did not stabilize";
-    case ActionKind::kAwaitParticipants:
-      return "targets were not admitted as participants";
-    case ActionKind::kAwaitConfigEqualsAlive:
-      return "configuration did not catch up with the alive set";
-    default:
-      return "await missed its budget";
-  }
-}
 
 std::string ScenarioResult::summary() const {
   std::ostringstream os;
@@ -83,46 +69,325 @@ void ScenarioResult::fold_fleets() {
   op_p99_us = op_latency.percentile(99);
 }
 
-KeyedWorkload::KeyedWorkload(std::uint32_t map_shards,
-                             std::uint32_t fleet_count)
-    : router_(shard::ShardMap::uniform(map_shards)),
-      fleet_count_(fleet_count) {
-  SSR_ASSERT(map_shards <= fleet_count, "initial map wider than the fleets");
+ScenarioBackend::ScenarioBackend(ScenarioSpec spec, std::uint64_t seed)
+    : spec_(std::move(spec)),
+      seed_(seed),
+      router_(shard::ShardMap::uniform(spec_.initial_map_shards())),
+      next_id_(spec_.shards, static_cast<NodeId>(spec_.initial_nodes + 1)) {
+  SSR_ASSERT(spec_.shards >= 1, "a scenario runs at least one fleet");
+  SSR_ASSERT(spec_.initial_map_shards() <= spec_.shards,
+             "initial map wider than the fleets");
 }
 
-bool KeyedWorkload::queue_growth() {
-  // A queued growth adds one shard however many grow_maps precede its
-  // adoption, so the map spans every fleet once its current width does.
-  if (router_.map().shard_count() >= fleet_count_) return false;
-  growth_queued_ = true;
+std::string ScenarioBackend::fleet_name(std::uint32_t s) const {
+  if (spec_.shards == 1) return spec_.name;
+  return spec_.name + "/shard" + std::to_string(s);
+}
+
+void ScenarioBackend::fail(std::string what) {
+  if (failed_) return;
+  failed_ = true;
+  failure_ = std::move(what);
+}
+
+ScenarioResult ScenarioBackend::run() {
+  bootstrap();
+  for (const Phase& phase : spec_.phases) {
+    if (failed_) break;
+    for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+      fleet_trace(s).record(TraceKind::kPhaseStart, kNoNode,
+                            TraceRecorder::digest(phase.name));
+    }
+    for (const Action& a : phase.actions) step(a);
+  }
+  return finish();
+}
+
+void ScenarioBackend::step(const Action& a) {
+  if (failed_) return;
+  for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+    fleet_trace(s).record(TraceKind::kActionApplied, kNoNode,
+                          static_cast<std::uint64_t>(a.kind), a.digest());
+  }
+  apply(a);
+}
+
+ScenarioResult ScenarioBackend::fleet_result(std::uint32_t s) {
+  ScenarioResult r;
+  r.name = fleet_name(s);
+  r.seed = seed_;
+  r.violations = fleet_registry(s).check_all();
+  r.ok = r.violations.empty();
+  r.trace_hash = fleet_trace(s).hash();
+  r.trace_events = fleet_trace(s).size();
+  fill_fleet_result(s, r);
+  r.ops_completed = r.op_latency.count();
+  r.op_p50_us = r.op_latency.percentile(50);
+  r.op_p99_us = r.op_latency.percentile(99);
+  return r;
+}
+
+ScenarioResult ScenarioBackend::finish() {
+  harvest();
+  ScenarioResult r;
+  if (spec_.shards == 1) {
+    r = fleet_result(0);
+  } else {
+    for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+      r.fleets.push_back(fleet_result(s));
+    }
+    r.name = spec_.name;
+    r.seed = seed_;
+    r.fold_fleets();
+  }
+  r.failure = failure_;
+  r.ok = !failed_ && r.violations.empty();
+  fill_result(r);
+  r.ops_attempted = ops_attempted_;
+  r.ops_aborted_faulted = ops_aborted_faulted_;
+  r.ops_aborted_healthy = ops_aborted_healthy_;
+  r.ops_redirected = ops_redirected_;
+  // The cross-fleet isolation invariant: an op may give up only when its
+  // own fleet was faulted.
+  if (ops_aborted_healthy_ != 0) {
+    r.ok = false;
+    if (r.failure.empty()) {
+      r.failure = std::to_string(ops_aborted_healthy_) +
+                  " op(s) aborted on healthy shards (isolation violated)";
+    }
+  }
+  // Any failure, a missed await or an invariant violation, marks the run
+  // failed (the process backend keeps its scratch directory then).
+  if (!r.ok) failed_ = true;
+  return r;
+}
+
+auto ScenarioBackend::snapshots(std::uint32_t s) {
+  return alive(s) | std::views::transform(
+                        [this, s](NodeId id) { return snapshot(s, id); });
+}
+
+bool ScenarioBackend::converged() {
+  for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+    if (skipped(s)) continue;
+    if (!node::common_config(snapshots(s))) return false;
+  }
   return true;
 }
 
-void KeyedWorkload::run(const Action& a, const Fleets& fleets) {
-  for (std::uint64_t i = 0; i < a.n && !fleets.failed(); ++i) {
+template <class Pred>
+bool ScenarioBackend::await_fleet(const Action& a, const char* failure,
+                                  Pred met) {
+  const std::uint32_t s = a.shard;
+  if (wait_until(a.duration, [&] { return met(snapshots(s)); })) return true;
+  fail(a, failure);
+  return false;
+}
+
+void ScenarioBackend::apply(const Action& a) {
+  // A queued map growth lands lazily inside the next keyed workload (the
+  // "epoch change under load" path); any other action materializes it.
+  if (a.kind != ActionKind::kKeyedIncrements &&
+      a.kind != ActionKind::kGrowMap) {
+    adopt_queued_growth();
+  }
+  SSR_ASSERT(a.shard < spec_.shards, "action aimed past the last fleet");
+  const std::uint32_t s = a.shard;
+  InvariantRegistry& registry = fleet_registry(s);
+  TraceRecorder& trace = fleet_trace(s);
+  // Every fault, churn and partition closes the closure window open on its
+  // fleet (unmark_stable), so a window covers one fault-free stretch.
+  switch (a.kind) {
+    case ActionKind::kAddNodes:
+      registry.unmark_stable();
+      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) {
+        spawn(s, next_id_[s]++);
+      }
+      return;
+    case ActionKind::kCrash:
+      registry.unmark_stable();
+      for (NodeId id : a.targets) crash(s, id);
+      return;
+    case ActionKind::kReboot:
+      registry.unmark_stable();
+      // Identifiers are never reused (paper, Section 2): a reboot is a
+      // crash-stop plus a fresh processor taking the slot.
+      for (NodeId id : a.targets) {
+        crash(s, id);
+        if (!failed_) spawn(s, next_id_[s]++);
+      }
+      return;
+    case ActionKind::kSplitNetwork:
+      registry.unmark_stable();
+      cut(s, a.targets, a.group_b);
+      return;
+    case ActionKind::kHealNetwork:
+      heal(s);
+      return;
+    case ActionKind::kCorruptRecsa: {
+      registry.unmark_stable();
+      // The corrupted records name ids of the fleet's alive set.
+      const StateFault f{.kind = StateFault::Kind::kRecsa, .ids = alive(s)};
+      for (NodeId id : targets_or_alive(a)) inject(s, id, f);
+      return;
+    }
+    case ActionKind::kCorruptFd:
+      registry.unmark_stable();
+      for (NodeId id : targets_or_alive(a)) {
+        inject(s, id, {.kind = StateFault::Kind::kFd});
+      }
+      return;
+    case ActionKind::kSplitConfigState: {
+      registry.unmark_stable();
+      // The first half of the alive set (in id order) believes `targets`,
+      // the rest believe `group_b`.
+      const IdSet all = alive(s);
+      std::size_t i = 0;
+      for (NodeId id : all) {
+        const bool first_half = i++ < all.size() / 2;
+        inject(s, id, {.kind = StateFault::Kind::kConfig,
+                       .ids = first_half ? a.targets : a.group_b});
+      }
+      return;
+    }
+    case ActionKind::kGarbageChannels:
+      registry.unmark_stable();
+      garbage(s, a.n);
+      return;
+    case ActionKind::kPlantExhaustedCounter:
+      registry.unmark_stable();
+      for (NodeId id : a.targets) {
+        inject(s, id, {.kind = StateFault::Kind::kCounter, .n = a.n});
+      }
+      return;
+    case ActionKind::kPlantRecmaFlags: {
+      registry.unmark_stable();
+      // The flags cover every entry of the fleet's alive set.
+      const StateFault f{.kind = StateFault::Kind::kRecmaFlags,
+                         .ids = alive(s), .n = a.n};
+      for (NodeId id : a.targets) inject(s, id, f);
+      return;
+    }
+    case ActionKind::kIncrementBurst:
+      increments(s, targets_or_alive(a), a.n);
+      harvest();
+      return;
+    case ActionKind::kShmemWrite:
+      shmem(s, targets_or_alive(a), /*write=*/true, a.reg, a.n);
+      return;
+    case ActionKind::kShmemRead:
+      shmem(s, targets_or_alive(a), /*write=*/false, a.reg, a.n);
+      return;
+    case ActionKind::kRunFor:
+      run_for(a.duration);
+      return;
+    case ActionKind::kAwaitConverged: {
+      // The one await that spans every fleet.
+      if (!wait_until(a.duration, [this] { return converged(); })) {
+        fail(a, "no convergence within the time budget");
+        return;
+      }
+      for (std::uint32_t g = 0; g < spec_.shards; ++g) {
+        if (skipped(g)) continue;
+        fleet_trace(g).record(
+            TraceKind::kConverged, kNoNode,
+            TraceRecorder::digest(*node::common_config(snapshots(g))));
+      }
+      return;
+    }
+    case ActionKind::kAwaitVsStable:
+      if (await_fleet(a, "VS layer did not stabilize",
+                      [](auto&& alive) { return node::vs_stable(alive); })) {
+        trace.record(TraceKind::kVsStable, kNoNode);
+      }
+      return;
+    case ActionKind::kAwaitParticipants:
+      await_fleet(a, "targets were not admitted as participants",
+                  [&a](auto&& alive) {
+                    return node::targets_admitted(alive, a.targets);
+                  });
+      return;
+    case ActionKind::kAwaitConfigEqualsAlive:
+      await_fleet(
+          a, "configuration did not catch up with the alive set",
+          [](auto&& alive) { return node::config_equals_alive(alive); });
+      return;
+    case ActionKind::kMarkStable:
+      refresh();
+      for (std::uint32_t g = 0; g < spec_.shards; ++g) {
+        if (skipped(g)) continue;
+        fleet_registry(g).mark_stable();
+        fleet_trace(g).record(TraceKind::kStableMarked, kNoNode);
+      }
+      return;
+    case ActionKind::kCrashAll:
+      registry.unmark_stable();
+      for (NodeId id : alive(s)) crash(s, id);
+      return;
+    case ActionKind::kAwaitQuiescent: {
+      if (!alive(s).empty()) {
+        registry.report("silence", false,
+                        "await_quiescent requires every node crashed first");
+        return;
+      }
+      const bool drained = drain(s, a.duration);
+      registry.report("silence", drained,
+                      "scheduler still holds live events after every node "
+                      "crashed (silent stabilization violated)");
+      trace.record(TraceKind::kQuiescent, kNoNode, drained ? 1 : 0);
+      return;
+    }
+    case ActionKind::kPauseNodes:
+      registry.unmark_stable();
+      for (NodeId id : a.targets) pause(s, id);
+      return;
+    case ActionKind::kResumeNodes:
+      for (NodeId id : a.targets) resume(s, id);
+      return;
+    case ActionKind::kKeyedIncrements:
+      keyed_increments(a);
+      harvest();
+      return;
+    case ActionKind::kGrowMap:
+      // A queued growth adds one shard however many grow_maps precede its
+      // adoption, so the map spans every fleet once its current width does.
+      if (router_.map().shard_count() >= spec_.shards) {
+        fail(a, "the map already spans every fleet");
+        return;
+      }
+      growth_queued_ = true;
+      return;
+  }
+}
+
+void ScenarioBackend::keyed_increments(const Action& a) {
+  for (std::uint64_t i = 0; i < a.n && !failed_; ++i) {
     shard::Router::Op op = router_.begin(a.reg + ":" + std::to_string(i));
     bool completed = false;
     for (;;) {
-      router_.note_config(op.shard, fleets.membership(op.shard));
+      // A client addresses the fleet's common configuration when it agrees
+      // on one, else its alive set.
+      router_.note_config(op.shard, node::common_config(snapshots(op.shard))
+                                        .value_or(alive(op.shard)));
       const auto target = router_.target(op);
-      if (target && fleets.attempt(op.shard, *target)) {
+      if (target && keyed_attempt(op.shard, *target)) {
         completed = true;
         break;
       }
-      if (fleets.failed()) break;
+      if (failed_) break;
       // A failed attempt is when a queued epoch change becomes visible —
       // exactly the moment a real client would learn its map is stale.
       adopt_queued_growth();
       const shard::Router::Verdict v = router_.on_failure(op);
       if (v == shard::Router::Verdict::kGiveUp) break;
-      if (v == shard::Router::Verdict::kRedirect) ++redirected_;
+      if (v == shard::Router::Verdict::kRedirect) ++ops_redirected_;
     }
-    ++attempted_;
+    ++ops_attempted_;
     if (completed) continue;
-    if (fleets.stalled(op.shard)) {
-      ++aborted_faulted_;
+    if (stalled(op.shard)) {
+      ++ops_aborted_faulted_;
     } else {
-      ++aborted_healthy_;
+      ++ops_aborted_healthy_;
     }
   }
   // No attempt failed, so nothing pulled the queued map in: adopt it now
@@ -130,25 +395,10 @@ void KeyedWorkload::run(const Action& a, const Fleets& fleets) {
   adopt_queued_growth();
 }
 
-void KeyedWorkload::adopt_queued_growth() {
+void ScenarioBackend::adopt_queued_growth() {
   if (!growth_queued_) return;
   growth_queued_ = false;
   router_.adopt(router_.map().with_shard_added());
-}
-
-void KeyedWorkload::report(ScenarioResult& r) const {
-  r.ops_attempted = attempted_;
-  r.ops_aborted_faulted = aborted_faulted_;
-  r.ops_aborted_healthy = aborted_healthy_;
-  r.ops_redirected = redirected_;
-  // The cross-fleet isolation invariant: an op may give up only when its
-  // own fleet was faulted.
-  if (aborted_healthy_ == 0) return;
-  r.ok = false;
-  if (r.failure.empty()) {
-    r.failure = std::to_string(aborted_healthy_) +
-                " op(s) aborted on healthy shards (isolation violated)";
-  }
 }
 
 }  // namespace ssr::scenario

@@ -81,88 +81,51 @@ struct ScenarioResult {
   void fold_fleets();
 };
 
-/// The keyed client workload, written once for both backends: one
-/// shard::Router over the spec's initial map plus the isolation ledger.
-/// Per key: begin, target, attempt; after a failed attempt the router
-/// decides retry, redirect or give-up. Only the attempt itself — one
-/// increment on node X of fleet s — differs between the backends.
-class KeyedWorkload {
- public:
-  /// How a backend reaches its fleets.
-  struct Fleets {
-    /// Membership a client addresses in fleet s: its common configuration
-    /// when it agrees on one, else its alive set.
-    std::function<IdSet(std::uint32_t s)> membership;
-    /// One increment attempt on node `target` of fleet s; true when it
-    /// completed.
-    std::function<bool(std::uint32_t s, NodeId target)> attempt;
-    /// Every alive node of fleet s is paused.
-    std::function<bool(std::uint32_t s)> stalled;
-    /// The run has already failed: stop issuing ops.
-    std::function<bool()> failed;
+/// One transient fault in one node's state, as the interpreter resolved it
+/// from a fault action: a fabric plants it and decides nothing.
+struct StateFault {
+  enum class Kind : std::uint8_t {
+    kRecsa,       ///< arbitrary recSA state over the ids in `ids`
+    kFd,          ///< scrambled failure-detector heartbeat counts
+    kConfig,      ///< the node believes configuration `ids`
+    kCounter,     ///< near-exhausted counter with seqn `n`
+    kRecmaFlags,  ///< stale recMA flags on the entries `ids` (n bit0 =
+                  ///< noMaj, bit1 = needReconf)
   };
-
-  /// The map starts `map_shards` wide and may grow to `fleet_count`.
-  KeyedWorkload(std::uint32_t map_shards, std::uint32_t fleet_count);
-
-  /// keyed_increments: a.n ops on keys "<a.reg>:<i>".
-  void run(const Action& a, const Fleets& fleets);
-  /// grow_map: queues map().with_shard_added(). False (nothing queued) when
-  /// the map already spans every fleet.
-  bool queue_growth();
-  /// Adopts a queued growth, if any.
-  void adopt_queued_growth();
-  /// Copies the ledger into `r`; healthy-fleet aborts fail it.
-  void report(ScenarioResult& r) const;
-
- private:
-  shard::Router router_;
-  std::uint32_t fleet_count_;
-  bool growth_queued_ = false;
-  std::uint64_t attempted_ = 0;
-  std::uint64_t aborted_faulted_ = 0;
-  std::uint64_t aborted_healthy_ = 0;
-  std::uint64_t redirected_ = 0;
+  Kind kind = Kind::kFd;
+  IdSet ids = {};
+  std::uint64_t n = 0;
 };
 
-/// The condition await action `a` waits for, over one fleet's alive
-/// snapshots: written once for both backends, which pick the fleets
-/// (await_converged spans every fleet, the others look at fleet a.shard).
-template <class Snapshots>
-bool await_met(const Action& a, Snapshots&& alive) {
-  switch (a.kind) {
-    case ActionKind::kAwaitConverged:
-      return node::common_config(alive).has_value();
-    case ActionKind::kAwaitVsStable:
-      return node::vs_stable(alive);
-    case ActionKind::kAwaitParticipants:
-      return node::targets_admitted(alive, a.targets);
-    case ActionKind::kAwaitConfigEqualsAlive:
-      return node::config_equals_alive(alive);
-    default:
-      return false;  // not an await with a node predicate
-  }
-}
-
-/// The failure a run reports when an await of `kind` misses its budget.
-std::string await_failure(ActionKind kind);
-
-/// One way of executing a ScenarioSpec. Two implementations exist:
+/// The scenario interpreter: applies every ScenarioSpec action once, over
+/// per-fleet primitives that a fabric supplies. Two fabrics exist:
 ///  * ScenarioRunner  — the deterministic in-process simulator;
 ///  * ProcessRunner   — one real ssr_node OS process per node on localhost
 ///    UDP, with faults injected through OS primitives (signals, dropped
 ///    datagrams) and a control socket.
-/// Both consume the same spec and evaluate the same InvariantRegistry, so a
-/// scenario written once runs under either harness.
+/// Every decision about what an action means lives here: which actions
+/// close a closure window, that a reboot is a crash plus a fresh id, which
+/// fleets an await spans, which ids a state fault draws from, how the keyed
+/// workload routes. A fabric only does what it is told to one fleet, so a
+/// new ActionKind needs one case in apply() and, at most, a new primitive.
 class ScenarioBackend {
  public:
   virtual ~ScenarioBackend() = default;
+  ScenarioBackend(const ScenarioBackend&) = delete;
+  ScenarioBackend& operator=(const ScenarioBackend&) = delete;
 
-  /// Runs every phase, then evaluates the invariant registry. Call once.
-  virtual ScenarioResult run() = 0;
+  /// bootstrap(), every phase through step(), then finish(). Call once.
+  ScenarioResult run();
+  /// Applies one action, recording it in every fleet's trace first. No-op
+  /// once the run failed.
+  void step(const Action& a);
+  /// Final harvest, invariant evaluation and result assembly; call once,
+  /// after the last step.
+  ScenarioResult finish();
 
-  virtual TraceRecorder& trace() = 0;
-  virtual InvariantRegistry& invariants() = 0;
+  /// Fleet 0's trace and registry (the only ones of a one-fleet spec).
+  TraceRecorder& trace() { return fleet_trace(0); }
+  InvariantRegistry& invariants() { return fleet_registry(0); }
 
   /// An await missed its budget, or an action could not be applied.
   bool failed() const { return failed_; }
@@ -170,16 +133,110 @@ class ScenarioBackend {
   const std::string& failure() const { return failure_; }
 
  protected:
+  ScenarioBackend(ScenarioSpec spec, std::uint64_t seed);
+
+  const ScenarioSpec& spec() const { return spec_; }
+  /// "<spec>/shard<s>" with more than one fleet, else the spec's name.
+  std::string fleet_name(std::uint32_t s) const;
+  /// The await_converged condition over the fabric's current snapshots:
+  /// every fleet agrees on one configuration; with more than one fleet, a
+  /// stalled fleet is skipped.
+  bool converged();
   /// Records the run's first failure; later ones are dropped.
-  void fail(std::string what) {
-    if (failed_) return;
-    failed_ = true;
-    failure_ = std::move(what);
-  }
+  void fail(std::string what);
+
+  // -- Fabric primitives: one fleet s at a time, no decisions -----------------
+
+  virtual TraceRecorder& fleet_trace(std::uint32_t s) = 0;
+  virtual InvariantRegistry& fleet_registry(std::uint32_t s) = 0;
+  /// Boots every fleet's initial cohort, ids 1..initial_nodes; false (with
+  /// the failure recorded) when a node did not start.
+  virtual bool bootstrap() = 0;
+  /// Starts a fresh node `id` (never used before in fleet s).
+  virtual void spawn(std::uint32_t s, NodeId id) = 0;
+  virtual void crash(std::uint32_t s, NodeId id) = 0;
+  /// Freezes one node: to its peers it is unreachable until resume().
+  virtual void pause(std::uint32_t s, NodeId id) = 0;
+  virtual void resume(std::uint32_t s, NodeId id) = 0;
+  /// Blocks traffic between `a` and `b` until heal(); cuts accumulate.
+  virtual void cut(std::uint32_t s, const IdSet& a, const IdSet& b) = 0;
+  virtual void heal(std::uint32_t s) = 0;
+  virtual void inject(std::uint32_t s, NodeId id, const StateFault& f) = 0;
+  /// `per_channel` garbage packets into every channel of fleet s.
+  virtual void garbage(std::uint32_t s, std::uint64_t per_channel) = 0;
+  /// `per_node` sequential counter increments on each target.
+  virtual void increments(std::uint32_t s, const IdSet& targets,
+                          std::uint64_t per_node) = 0;
+  /// One register write (payload from `salt`) or read on each target.
+  virtual void shmem(std::uint32_t s, const IdSet& targets, bool write,
+                     const std::string& reg, std::uint64_t salt) = 0;
+  /// One increment on node `target`; true when it completed.
+  virtual bool keyed_attempt(std::uint32_t s, NodeId target) = 0;
+  /// Feeds completed operations not yet recorded to the counter-order
+  /// monitors (incremental; safe to call repeatedly).
+  virtual void harvest() = 0;
+  /// Lets every fleet run for `d` (spec time).
+  virtual void run_for(SimTime d) = 0;
+  /// Runs every fleet until `met` holds, checking it at the fabric's
+  /// sampling steps; false when `budget` (spec time, which the fabric maps
+  /// to its own clock) passed first.
+  virtual bool wait_until(SimTime budget, const std::function<bool()>& met) = 0;
+  /// Brings every node's observed state up to date (a closure window opens
+  /// next, and a change from before it must not count inside it).
+  virtual void refresh() = 0;
+  /// After every node of fleet s crashed: true when the fleet went silent
+  /// within `budget`.
+  virtual bool drain(std::uint32_t s, SimTime budget) = 0;
+  virtual IdSet alive(std::uint32_t s) = 0;
+  /// Every alive node of fleet s is paused.
+  virtual bool stalled(std::uint32_t s) = 0;
+  /// The latest snapshot of alive node `id`; a default one (satisfying no
+  /// predicate) when the fabric has not observed it yet.
+  virtual node::NodeSnapshot snapshot(std::uint32_t s, NodeId id) = 0;
+  /// The fabric's own fields of fleet s's result: sim_time, sched_events,
+  /// packet and syscall totals, op_latency.
+  virtual void fill_fleet_result(std::uint32_t s, ScenarioResult& r) = 0;
+  /// The fabric's own run-wide fields, after the fleets are folded.
+  virtual void fill_result(ScenarioResult&) {}
+
+ private:
+  void apply(const Action& a);
   void fail(const Action& a, const std::string& detail) {
     fail(std::string(to_string(a.kind)) + ": " + detail);
   }
+  /// Waits for `met` over fleet a.shard's alive snapshots; a missed budget
+  /// fails the run with `failure`.
+  template <class Pred>
+  bool await_fleet(const Action& a, const char* failure, Pred met);
+  /// Fleet s's alive snapshots, taken lazily: a predicate stops at the
+  /// first failing node, and later nodes are never snapshotted.
+  auto snapshots(std::uint32_t s);
+  /// A fleet await_converged and mark_stable leave out.
+  bool skipped(std::uint32_t s) { return spec_.shards > 1 && stalled(s); }
+  IdSet targets_or_alive(const Action& a) {
+    return a.targets.empty() ? alive(a.shard) : a.targets;
+  }
+  ScenarioResult fleet_result(std::uint32_t s);
+  /// keyed_increments: a.n ops on keys "<a.reg>:<i>". Per key: begin,
+  /// target, attempt; after a failed attempt the router decides retry,
+  /// redirect or give-up.
+  void keyed_increments(const Action& a);
+  void adopt_queued_growth();
 
+  ScenarioSpec spec_;
+  std::uint64_t seed_;
+  /// The keyed workload: one router over the spec's initial map, plus the
+  /// isolation ledger (ScenarioResult::ops_*).
+  shard::Router router_;
+  /// A grow_map waits here until the next failed keyed attempt, the end of
+  /// the keyed workload, or any other action.
+  bool growth_queued_ = false;
+  std::uint64_t ops_attempted_ = 0;
+  std::uint64_t ops_aborted_faulted_ = 0;
+  std::uint64_t ops_aborted_healthy_ = 0;
+  std::uint64_t ops_redirected_ = 0;
+  /// Next fresh id per fleet: identifiers are never reused.
+  std::vector<NodeId> next_id_;
   bool failed_ = false;
   std::string failure_;
 };

@@ -75,10 +75,15 @@ std::optional<node::NodeSnapshot> parse_snapshot(
 ///   OPS                          completed increments: op=<start>:<end>:<hex>
 ///   SHMEMW <reg> <salt>          queue one register write
 ///   SHMEMR <reg>                 queue one register read
-///   CORRUPT <recsa|fd>           transient-fault the named component
+///   CORRUPT recsa <ids>          arbitrary recSA state naming ids of <ids>
+///                                (the fleet's alive set)
+///   CORRUPT fd                   scramble the failure-detector counts
 ///   CONF <ids>                   plant a believed configuration
 ///   PLANT_CTR <seqn>             plant a near-exhausted counter
-///   RECMA <nomaj> <needreconf>   plant stale recMA flags (0/1 each)
+///   RECMA <nomaj> <needreconf> <ids>
+///                                plant stale recMA flags (0/1 each) on the
+///                                entry of every id in <ids> (the fleet's
+///                                alive set, the node itself included)
 
 // -- Endpoints ---------------------------------------------------------------
 

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <ranges>
 #include <sstream>
 #include <thread>
 
@@ -35,28 +34,19 @@ std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
   return std::strtoull(it->second.c_str(), nullptr, 10);
 }
 
-/// The latest snapshots of a fleet's alive daemons, for the node::
-/// predicates. A daemon that has not answered yet contributes a default
-/// snapshot, which satisfies none of them.
-template <class Fleet>
-auto alive_snapshots(const Fleet& f) {
-  const auto is_alive = [](const auto& entry) { return entry.second.alive; };
-  const auto snapshot = [](const auto& entry) -> const node::NodeSnapshot& {
-    return entry.second.snap;
-  };
-  return f.procs | std::views::filter(is_alive) |
-         std::views::transform(snapshot);
-}
+/// Daemon do-forever tick (µs); smaller than the daemon's standalone
+/// default to keep scaled scenarios snappy.
+constexpr std::uint64_t kTickUs = 2000;
+/// Floor for await budgets after scaling (process startup + real
+/// convergence time dominate short awaits).
+constexpr SimTime kMinAwait = 30 * kSec;
 
 }  // namespace
 
 ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
-    : spec_(std::move(spec)),
-      opt_(std::move(opt)),
-      keyed_(spec_.initial_map_shards(), spec_.shards) {
+    : ScenarioBackend(std::move(spec), opt.seed), opt_(std::move(opt)) {
   SSR_ASSERT(!opt_.node_binary.empty(),
              "ProcessBackendOptions.node_binary is required");
-  SSR_ASSERT(spec_.shards >= 1, "a scenario runs at least one fleet");
   epoch_usec_ = steady_usec();
   if (opt_.work_dir.empty()) {
     std::string templ =
@@ -70,14 +60,13 @@ ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
   } else {
     dir_ = opt_.work_dir;
   }
-  fleets_.reserve(spec_.shards);
-  for (std::uint32_t s = 0; s < spec_.shards; ++s) {
+  const std::uint32_t shards = this->spec().shards;
+  fleets_.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
     Fleet& f = fleets_.emplace_back();
-    f.name = spec_.name;
     f.dir = dir_;
-    f.seed = spec_.fleet_seed(opt_.seed, s);
-    if (spec_.shards > 1) {
-      f.name += "/shard" + std::to_string(s);
+    f.seed = this->spec().fleet_seed(opt_.seed, s);
+    if (shards > 1) {
       f.dir += "/shard" + std::to_string(s);
       f.tag = s + 1;
     }
@@ -101,7 +90,7 @@ ProcessRunner::~ProcessRunner() {
   }
   // Keep the directory (logs, peer maps) whenever something went wrong so
   // CI can upload it as an artifact.
-  if (made_dir_ && !opt_.keep_dir && ran_ && !failed_) {
+  if (made_dir_ && !opt_.keep_dir && ran_ && !failed()) {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
@@ -116,28 +105,24 @@ SimTime ProcessRunner::scaled(SimTime sim_duration) const {
 
 SimTime ProcessRunner::await_budget(SimTime sim_duration) const {
   const SimTime s = scaled(sim_duration);
-  return s < opt_.min_await ? opt_.min_await : s;
+  return s < kMinAwait ? kMinAwait : s;
 }
 
 void ProcessRunner::step_sleep() const {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 }
 
-IdSet ProcessRunner::alive(const Fleet& f) {
+IdSet ProcessRunner::alive(std::uint32_t s) {
   IdSet out;
-  for (const auto& [id, p] : f.procs) {
+  for (const auto& [id, p] : fleets_[s].procs) {
     if (p.alive) out.insert(id);
   }
   return out;
 }
 
-IdSet ProcessRunner::targets_or_alive(const Fleet& f, const Action& a) const {
-  return a.targets.empty() ? alive(f) : a.targets;
-}
-
-bool ProcessRunner::stalled(const Fleet& f) {
+bool ProcessRunner::stalled(std::uint32_t s) {
   bool any = false;
-  for (const auto& [id, p] : f.procs) {
+  for (const auto& [id, p] : fleets_[s].procs) {
     (void)id;
     if (!p.alive) continue;
     if (!p.paused) return false;
@@ -146,15 +131,9 @@ bool ProcessRunner::stalled(const Fleet& f) {
   return any;
 }
 
-bool ProcessRunner::converged_sampled() const {
-  return std::all_of(fleets_.begin(), fleets_.end(), [this](const Fleet& f) {
-    return skipped(f) || node::common_config(alive_snapshots(f)).has_value();
-  });
-}
-
-void ProcessRunner::fail_node(const Fleet& f, NodeId id,
+void ProcessRunner::fail_node(std::uint32_t s, NodeId id,
                               const std::string& what) {
-  fail((fleets_.size() > 1 ? f.name + ": " : std::string()) + "node " +
+  fail((fleets_.size() > 1 ? fleet_name(s) + ": " : std::string()) + "node " +
        std::to_string(id) + " " + what);
 }
 
@@ -174,7 +153,7 @@ void ProcessRunner::write_cohort_peer_map(const Fleet& f) {
   std::rename(tmp.c_str(), path.c_str());
 }
 
-void ProcessRunner::spawn(Fleet& f, NodeId id, const std::string& peers_path) {
+void ProcessRunner::launch(Fleet& f, NodeId id, const std::string& peers_path) {
   Proc& p = f.procs[id];
   const std::string port_file = f.dir + "/port." + std::to_string(id);
   std::remove(port_file.c_str());
@@ -187,7 +166,7 @@ void ProcessRunner::spawn(Fleet& f, NodeId id, const std::string& peers_path) {
       "--peers", peers_path,
       "--port-file", port_file,
       "--seconds", std::to_string(opt_.node_seconds),
-      "--tick-us", std::to_string(opt_.tick_us),
+      "--tick-us", std::to_string(kTickUs),
       "--seed",
       std::to_string((f.seed + 0x9E3779B97F4A7C15ULL) * 1000003ULL + id),
   };
@@ -195,12 +174,13 @@ void ProcessRunner::spawn(Fleet& f, NodeId id, const std::string& peers_path) {
     args.push_back("--shard");
     args.push_back(std::to_string(f.tag));
   }
-  if (spec_.enable_vs) args.push_back("--vs");
-  if (spec_.aggressive_policy) args.push_back("--aggressive");
-  if (spec_.adopt_joiners) args.push_back("--adopt-joiners");
-  if (spec_.exhaust_bound != 0) {
+  const ScenarioSpec& sp = spec();
+  if (sp.enable_vs) args.push_back("--vs");
+  if (sp.aggressive_policy) args.push_back("--aggressive");
+  if (sp.adopt_joiners) args.push_back("--adopt-joiners");
+  if (sp.exhaust_bound != 0) {
     args.push_back("--exhaust-bound");
-    args.push_back(std::to_string(spec_.exhaust_bound));
+    args.push_back(std::to_string(sp.exhaust_bound));
   }
 
   const int pid = ::fork();
@@ -252,8 +232,8 @@ bool ProcessRunner::collect_ports(Fleet& f, NodeId id) {
   return false;
 }
 
-NodeId ProcessRunner::spawn_fresh_node(Fleet& f) {
-  const NodeId id = f.next_id++;
+void ProcessRunner::spawn(std::uint32_t s, NodeId id) {
+  Fleet& f = fleets_[s];
   // A late joiner gets its own map: every current cohort member with its
   // real port, plus itself at port 0 (bind-and-discover). Existing nodes
   // learn the newcomer's address from its first well-formed datagram.
@@ -265,13 +245,13 @@ NodeId ProcessRunner::spawn_fresh_node(Fleet& f) {
     }
     out << id << " 127.0.0.1 0\n";
   }
-  spawn(f, id, peers_path);
+  launch(f, id, peers_path);
   f.trace.record(TraceKind::kNodeAdded, id);
-  if (!collect_ports(f, id)) fail_node(f, id, "failed to start");
-  return id;
+  if (!collect_ports(f, id)) fail_node(s, id, "failed to start");
 }
 
-void ProcessRunner::kill_node(Fleet& f, NodeId id) {
+void ProcessRunner::crash(std::uint32_t s, NodeId id) {
+  Fleet& f = fleets_[s];
   auto it = f.procs.find(id);
   if (it == f.procs.end() || !it->second.alive) return;
   Proc& p = it->second;
@@ -286,9 +266,37 @@ void ProcessRunner::kill_node(Fleet& f, NodeId id) {
   f.trace.record(TraceKind::kNodeCrashed, id);
 }
 
+void ProcessRunner::pause(std::uint32_t s, NodeId id) {
+  Fleet& f = fleets_[s];
+  auto it = f.procs.find(id);
+  if (it == f.procs.end() || !it->second.alive) return;
+  // Harvest first: a stopped process cannot answer OPS, and it may be
+  // SIGKILLed before ever resuming.
+  harvest_ops_from(f, id, it->second);
+  ::kill(it->second.pid, SIGSTOP);
+  it->second.paused = true;
+  f.trace.record(TraceKind::kNodePaused, id);
+}
+
+void ProcessRunner::resume(std::uint32_t s, NodeId id) {
+  Fleet& f = fleets_[s];
+  auto it = f.procs.find(id);
+  if (it == f.procs.end() || !it->second.alive || !it->second.paused) return;
+  ::kill(it->second.pid, SIGCONT);
+  it->second.paused = false;
+  f.trace.record(TraceKind::kNodeResumed, id);
+  // Peer-filter updates (splits/heals) that happened while the node was
+  // stopped were never delivered; reinstall the current set.
+  control_or_fail(s, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
+  // And sample immediately, so state from before the pause cannot be
+  // attributed into a closure window opened later.
+  sample_node(s, id, it->second);
+}
+
 // -- Sampling ----------------------------------------------------------------
 
-bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
+bool ProcessRunner::sample_node(std::uint32_t s, NodeId id, Proc& p) {
+  Fleet& f = fleets_[s];
   auto reply = client_.request(p.ctl_port, "STATUS", 250, 2);
   if (!reply) {
     // Unreachable: either mid-GC busy (retry next round) or dead. Only an
@@ -298,7 +306,7 @@ bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
     if (p.pid > 0 && ::waitpid(p.pid, &status, WNOHANG) == p.pid) {
       p.pid = -1;
       p.alive = false;
-      fail_node(f, id, "exited unexpectedly");
+      fail_node(s, id, "exited unexpectedly");
     }
     return false;
   }
@@ -342,11 +350,11 @@ bool ProcessRunner::sample_node(Fleet& f, NodeId id, Proc& p) {
 
 bool ProcessRunner::sample() {
   bool all = true;
-  for (Fleet& f : fleets_) {
-    for (auto& [id, p] : f.procs) {
-      if (!p.alive || p.paused) continue;
-      all = sample_node(f, id, p) && all;
-      if (failed_) return false;
+  for (std::uint32_t s = 0; s < fleets_.size(); ++s) {
+    for (auto& [id, p] : fleets_[s].procs) {
+      if (!p.running()) continue;
+      all = sample_node(s, id, p) && all;
+      if (failed()) return false;
     }
   }
   return all;
@@ -395,47 +403,116 @@ void ProcessRunner::harvest_ops_from(Fleet& f, NodeId id, Proc& p) {
   }
 }
 
-void ProcessRunner::harvest_ops() {
+void ProcessRunner::harvest() {
   for (Fleet& f : fleets_) {
     for (auto& [id, p] : f.procs) {
-      if (p.alive && !p.paused) harvest_ops_from(f, id, p);
+      if (p.running()) harvest_ops_from(f, id, p);
     }
   }
 }
 
 // -- Control helpers ---------------------------------------------------------
 
-void ProcessRunner::control_or_fail(Fleet& f, const Action& a, NodeId id,
+void ProcessRunner::control_or_fail(std::uint32_t s, NodeId id,
                                     const std::string& cmd) {
-  auto& p = f.procs.at(id);
-  auto reply = client_.request(p.ctl_port, cmd);
+  auto reply = client_.request(fleets_[s].procs.at(id).ctl_port, cmd);
   if (!reply) {
-    fail(a, "node " + std::to_string(id) + " unreachable for '" + cmd + "'");
-    return;
-  }
-  if (reply->rfind("OK", 0) != 0) {
-    fail(a, "node " + std::to_string(id) + " rejected '" + cmd +
-            "': " + *reply);
+    fail_node(s, id, "unreachable for '" + cmd + "'");
+  } else if (reply->rfind("OK", 0) != 0) {
+    fail_node(s, id, "rejected '" + cmd + "': " + *reply);
   }
 }
 
-void ProcessRunner::send_blocked_sets(Fleet& f, const IdSet& touched) {
-  Action a;
-  a.kind = ActionKind::kSplitNetwork;
+void ProcessRunner::send_blocked_sets(std::uint32_t s, const IdSet& touched) {
+  Fleet& f = fleets_[s];
   for (NodeId id : touched) {
     auto it = f.procs.find(id);
-    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
-      continue;
-    }
-    control_or_fail(f, a, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
+    if (it == f.procs.end() || !it->second.running()) continue;
+    control_or_fail(s, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
   }
 }
 
-void ProcessRunner::do_garbage(const Fleet& f, std::uint64_t per_node) {
+IdSet ProcessRunner::queue_and_drain(std::uint32_t s, const IdSet& targets,
+                                     const std::string& cmd,
+                                     std::uint64_t Proc::*queue,
+                                     SimTime budget) {
+  Fleet& f = fleets_[s];
+  IdSet queued;
+  for (NodeId id : targets) {
+    auto it = f.procs.find(id);
+    if (it == f.procs.end() || !it->second.running()) continue;
+    control_or_fail(s, id, cmd);
+    if (failed()) return queued;
+    queued.insert(id);
+  }
+  // A queue still holding ops at the deadline is not a scenario failure
+  // (quorum operations legally abort and retry through reconfigurations,
+  // exactly like the simulator's bounded-attempt workloads); it only means
+  // fewer ops feed the invariant checks.
+  await(await_budget(budget), [&] {
+    for (NodeId id : queued) {
+      const Proc& p = f.procs.at(id);
+      if (p.running() && (!p.sampled() || p.*queue != 0)) return false;
+    }
+    return true;
+  });
+  return queued;
+}
+
+// -- Fabric primitives -------------------------------------------------------
+
+void ProcessRunner::cut(std::uint32_t s, const IdSet& a, const IdSet& b) {
+  Fleet& f = fleets_[s];
+  for (NodeId x : a) {
+    for (NodeId y : b) {
+      if (x == y) continue;
+      f.blocked[x].insert(y);
+      f.blocked[y].insert(x);
+    }
+  }
+  IdSet touched = a;
+  for (NodeId y : b) touched.insert(y);
+  send_blocked_sets(s, touched);
+}
+
+void ProcessRunner::heal(std::uint32_t s) {
+  IdSet touched;
+  for (auto& [id, set] : fleets_[s].blocked) {
+    if (!set.empty()) touched.insert(id);
+    set = IdSet{};
+  }
+  send_blocked_sets(s, touched);
+}
+
+void ProcessRunner::inject(std::uint32_t s, NodeId id, const StateFault& f) {
+  std::string cmd;
+  switch (f.kind) {
+    case StateFault::Kind::kRecsa:
+      cmd = "CORRUPT recsa " + ctl::format_ids(f.ids);
+      break;
+    case StateFault::Kind::kFd:
+      cmd = "CORRUPT fd";
+      break;
+    case StateFault::Kind::kConfig:
+      cmd = "CONF " + ctl::format_ids(f.ids);
+      break;
+    case StateFault::Kind::kCounter:
+      cmd = "PLANT_CTR " + std::to_string(f.n);
+      break;
+    case StateFault::Kind::kRecmaFlags:
+      cmd = std::string("RECMA ") + ((f.n & 1) ? "1 " : "0 ") +
+            ((f.n & 2) ? "1 " : "0 ") + ctl::format_ids(f.ids);
+      break;
+  }
+  control_or_fail(s, id, cmd);
+}
+
+void ProcessRunner::garbage(std::uint32_t s, std::uint64_t per_node) {
   // OS-level channel garbage: raw junk datagrams straight at every node's
   // data socket — no cooperation from the daemon at all.
   const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (raw < 0) return;
+  const Fleet& f = fleets_[s];
   Rng rng(f.seed ^ 0x6A12BA6EULL);
   for (const auto& [id, p] : f.procs) {
     if (!p.alive) continue;
@@ -455,7 +532,55 @@ void ProcessRunner::do_garbage(const Fleet& f, std::uint64_t per_node) {
   ::close(raw);
 }
 
-// -- Run loop ----------------------------------------------------------------
+void ProcessRunner::increments(std::uint32_t s, const IdSet& targets,
+                               std::uint64_t per_node) {
+  // Generous drain budget: increments are quorum operations that legally
+  // abort and retry through reconfigurations.
+  queue_and_drain(s, targets, "INC " + std::to_string(per_node), &Proc::incq,
+                  120 * kSec * (per_node == 0 ? 1 : per_node));
+}
+
+void ProcessRunner::shmem(std::uint32_t s, const IdSet& targets, bool write,
+                          const std::string& reg, std::uint64_t salt) {
+  const std::string cmd =
+      write ? "SHMEMW " + reg + " " + std::to_string(salt) : "SHMEMR " + reg;
+  const IdSet queued =
+      queue_and_drain(s, targets, cmd, &Proc::shmq, 160 * kSec);
+  Fleet& f = fleets_[s];
+  for (NodeId id : queued) {
+    const Proc& p = f.procs.at(id);
+    f.trace.record(TraceKind::kShmemOpDone, id,
+                   (p.sampled() && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
+  }
+}
+
+bool ProcessRunner::keyed_attempt(std::uint32_t s, NodeId target) {
+  // One routed attempt is one single-op burst on the target. A paused or
+  // crashed target is skipped by the burst, so its wait is instant and the
+  // fleet's harvested-op count stays put: the router rotates on. An op that
+  // straggles past the burst's drain budget gets credited to a later
+  // attempt on the same fleet; both ops did complete there, which is what
+  // the isolation ledger measures.
+  const std::uint64_t before = fleets_[s].op_latency.count();
+  increments(s, {target}, 1);
+  harvest();
+  return fleets_[s].op_latency.count() > before;
+}
+
+void ProcessRunner::run_for(SimTime d) {
+  const SimTime deadline = now() + scaled(d);
+  while (now() < deadline && !failed()) {
+    sample();
+    step_sleep();
+  }
+}
+
+void ProcessRunner::refresh() {
+  // A transiently unresponsive daemon (busy lap, loopback drop) gets
+  // retried: one missed node here would turn into a spurious closure
+  // violation at its next successful sample.
+  for (int lap = 0; lap < 20 && !sample() && !failed(); ++lap) step_sleep();
+}
 
 bool ProcessRunner::bootstrap() {
   SSR_ASSERT(!bootstrapped_, "bootstrap() spawns the cohort once");
@@ -464,12 +589,13 @@ bool ProcessRunner::bootstrap() {
 
   // Every fleet's cohort is spawned up front; from here on the fleets all
   // run concurrently in real time and one loop samples them.
-  for (Fleet& f : fleets_) {
+  for (std::uint32_t s = 0; s < fleets_.size(); ++s) {
+    Fleet& f = fleets_[s];
     // Spawn everyone against a placeholder map (all ports 0), then
     // publish the real ports in one atomic rewrite. The daemons poll the
     // map until their view has no port-0 entries left.
-    for (std::size_t i = 0; i < spec_.initial_nodes; ++i) {
-      f.procs[f.next_id++];  // placeholder so the map lists the cohort
+    for (std::size_t i = 1; i <= spec().initial_nodes; ++i) {
+      f.procs[static_cast<NodeId>(i)];  // placeholder so the map lists it
     }
     {
       std::ofstream out(f.dir + "/peers.txt");
@@ -480,59 +606,25 @@ bool ProcessRunner::bootstrap() {
     }
     for (auto& [id, p] : f.procs) {
       (void)p;
-      spawn(f, id, f.dir + "/peers.txt");
+      launch(f, id, f.dir + "/peers.txt");
       f.trace.record(TraceKind::kNodeAdded, id);
     }
     for (auto& [id, p] : f.procs) {
       (void)p;
       if (!collect_ports(f, id)) {
-        fail_node(f, id, "failed to start");
+        fail_node(s, id, "failed to start");
         break;
       }
     }
-    if (failed_) break;
+    if (failed()) break;
     write_cohort_peer_map(f);
   }
-  return !failed_;
+  return !failed();
 }
 
-void ProcessRunner::step(const Action& a) {
-  if (failed_) return;
-  for (Fleet& f : fleets_) {
-    f.trace.record(TraceKind::kActionApplied, kNoNode,
-                   static_cast<std::uint64_t>(a.kind), a.digest());
-  }
-  apply(a);
-}
-
-ScenarioResult ProcessRunner::run() {
-  SSR_ASSERT(!ran_, "a ProcessRunner runs its spec once");
-  ran_ = true;
-
-  bootstrap();
-  for (const Phase& phase : spec_.phases) {
-    if (failed_) break;
-    for (Fleet& f : fleets_) {
-      f.trace.record(TraceKind::kPhaseStart, kNoNode,
-                     TraceRecorder::digest(phase.name));
-    }
-    for (const Action& a : phase.actions) step(a);
-  }
-  return finish();
-}
-
-ScenarioResult ProcessRunner::fleet_result(const Fleet& f) const {
-  ScenarioResult r;
-  r.name = f.name;
-  r.seed = opt_.seed;
-  r.violations = f.registry->check_all();
-  r.ok = r.violations.empty();
-  r.trace_hash = f.trace.hash();
-  r.trace_events = f.trace.size();
+void ProcessRunner::fill_fleet_result(std::uint32_t s, ScenarioResult& r) {
+  const Fleet& f = fleets_[s];
   r.sim_time = now();
-  r.ops_completed = f.op_latency.count();
-  r.op_p50_us = f.op_latency.percentile(50);
-  r.op_p99_us = f.op_latency.percentile(99);
   r.op_latency = f.op_latency;
   for (const auto& [id, p] : f.procs) {
     (void)id;
@@ -540,332 +632,6 @@ ScenarioResult ProcessRunner::fleet_result(const Fleet& f) const {
     r.packets_delivered += p.recv;
     r.net_syscalls += p.syscalls;
     r.net_batched += p.batched;
-  }
-  return r;
-}
-
-ScenarioResult ProcessRunner::finish() {
-  harvest_ops();
-
-  ScenarioResult r;
-  if (fleets_.size() == 1) {
-    r = fleet_result(fleets_.front());
-  } else {
-    for (const Fleet& f : fleets_) r.fleets.push_back(fleet_result(f));
-    r.name = spec_.name;
-    r.seed = opt_.seed;
-    r.fold_fleets();
-  }
-  r.failure = failure_;
-  r.ok = !failed_ && r.violations.empty();
-  keyed_.report(r);
-  // Any failure — missed await OR invariant violation — must keep the
-  // scratch directory: the destructor keys on failed_.
-  if (!r.ok) failed_ = true;
-  return r;
-}
-
-void ProcessRunner::apply(const Action& a) {
-  // A queued map growth lands lazily inside the next keyed workload; any
-  // other action materializes it up front.
-  if (a.kind != ActionKind::kKeyedIncrements &&
-      a.kind != ActionKind::kGrowMap) {
-    keyed_.adopt_queued_growth();
-  }
-  SSR_ASSERT(a.shard < fleets_.size(), "action aimed past the last fleet");
-  Fleet& f = fleets_[a.shard];
-  InvariantRegistry& registry = *f.registry;
-  switch (a.kind) {
-    case ActionKind::kAddNodes: {
-      registry.unmark_stable();
-      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) spawn_fresh_node(f);
-      return;
-    }
-    case ActionKind::kCrash: {
-      registry.unmark_stable();
-      for (NodeId id : a.targets) kill_node(f, id);
-      return;
-    }
-    case ActionKind::kReboot: {
-      registry.unmark_stable();
-      // Identifiers are never reused (paper, Section 2): a reboot is a
-      // crash-stop plus a fresh processor taking the slot.
-      for (NodeId id : a.targets) {
-        kill_node(f, id);
-        if (!failed_) spawn_fresh_node(f);
-      }
-      return;
-    }
-    case ActionKind::kSplitNetwork: {
-      registry.unmark_stable();
-      for (NodeId x : a.targets) {
-        for (NodeId y : a.group_b) {
-          if (x == y) continue;
-          f.blocked[x].insert(y);
-          f.blocked[y].insert(x);
-        }
-      }
-      IdSet touched = a.targets;
-      for (NodeId y : a.group_b) touched.insert(y);
-      send_blocked_sets(f, touched);
-      return;
-    }
-    case ActionKind::kHealNetwork: {
-      IdSet touched;
-      for (auto& [id, set] : f.blocked) {
-        if (!set.empty()) touched.insert(id);
-        set = IdSet{};
-      }
-      send_blocked_sets(f, touched);
-      return;
-    }
-    case ActionKind::kCorruptRecsa:
-      registry.unmark_stable();
-      for (NodeId id : targets_or_alive(f, a)) {
-        control_or_fail(f, a, id, "CORRUPT recsa");
-      }
-      return;
-    case ActionKind::kCorruptFd:
-      registry.unmark_stable();
-      for (NodeId id : targets_or_alive(f, a)) {
-        control_or_fail(f, a, id, "CORRUPT fd");
-      }
-      return;
-    case ActionKind::kSplitConfigState: {
-      registry.unmark_stable();
-      // Mirrors harness::FaultInjector::split_config: the first half of the
-      // alive set (in id order) believes `targets`, the rest believe
-      // `group_b`.
-      const IdSet all = alive(f);
-      std::size_t i = 0;
-      for (NodeId id : all) {
-        const bool first_half = i < all.size() / 2;
-        const IdSet& mine = first_half ? a.targets : a.group_b;
-        control_or_fail(f, a, id, "CONF " + ctl::format_ids(mine));
-        ++i;
-      }
-      return;
-    }
-    case ActionKind::kGarbageChannels:
-      registry.unmark_stable();
-      do_garbage(f, a.n);
-      return;
-    case ActionKind::kPlantExhaustedCounter:
-      registry.unmark_stable();
-      for (NodeId id : a.targets) {
-        control_or_fail(f, a, id, "PLANT_CTR " + std::to_string(a.n));
-      }
-      return;
-    case ActionKind::kPlantRecmaFlags:
-      registry.unmark_stable();
-      for (NodeId id : a.targets) {
-        control_or_fail(f, a, id,
-                        std::string("RECMA ") + ((a.n & 1) ? "1" : "0") + " " +
-                            ((a.n & 2) ? "1" : "0"));
-      }
-      return;
-    case ActionKind::kIncrementBurst:
-      do_increment_burst(f, a);
-      return;
-    case ActionKind::kShmemWrite:
-      do_shmem(f, a, /*write=*/true);
-      return;
-    case ActionKind::kShmemRead:
-      do_shmem(f, a, /*write=*/false);
-      return;
-    case ActionKind::kRunFor: {
-      const SimTime deadline = now() + scaled(a.duration);
-      while (now() < deadline && !failed_) {
-        sample();
-        step_sleep();
-      }
-      return;
-    }
-    case ActionKind::kAwaitConverged:
-    case ActionKind::kAwaitVsStable:
-    case ActionKind::kAwaitParticipants:
-    case ActionKind::kAwaitConfigEqualsAlive:
-      do_await(f, a);
-      return;
-    case ActionKind::kMarkStable: {
-      // Take a fresh sample of *every* node first, so changes that happened
-      // before the window opened are not attributed into it. A transiently
-      // unresponsive daemon (busy lap, loopback drop) gets retried — one
-      // missed node here would turn into a spurious closure violation at
-      // its next successful sample.
-      for (int lap = 0; lap < 20 && !sample() && !failed_; ++lap) {
-        step_sleep();
-      }
-      for (Fleet& g : fleets_) {
-        if (skipped(g)) continue;
-        g.registry->mark_stable();
-        g.trace.record(TraceKind::kStableMarked, kNoNode);
-      }
-      return;
-    }
-    case ActionKind::kCrashAll: {
-      registry.unmark_stable();
-      for (NodeId id : alive(f)) kill_node(f, id);
-      return;
-    }
-    case ActionKind::kAwaitQuiescent: {
-      if (!alive(f).empty()) {
-        registry.report("silence", false,
-                        "await_quiescent requires every node crashed first");
-        return;
-      }
-      // Process-level quiescence is an OS triviality (the processes are
-      // gone); the event-level drain check is a simulator property. Record
-      // the teardown point so traces stay comparable.
-      f.trace.record(TraceKind::kQuiescent, kNoNode, 1);
-      return;
-    }
-    case ActionKind::kPauseNodes: {
-      registry.unmark_stable();
-      for (NodeId id : a.targets) {
-        auto it = f.procs.find(id);
-        if (it == f.procs.end() || !it->second.alive) continue;
-        // Harvest first: a stopped process cannot answer OPS, and it may
-        // be SIGKILLed before ever resuming.
-        harvest_ops_from(f, id, it->second);
-        ::kill(it->second.pid, SIGSTOP);
-        it->second.paused = true;
-        f.trace.record(TraceKind::kNodePaused, id);
-      }
-      return;
-    }
-    case ActionKind::kResumeNodes: {
-      for (NodeId id : a.targets) {
-        auto it = f.procs.find(id);
-        if (it == f.procs.end() || !it->second.alive || !it->second.paused) {
-          continue;
-        }
-        ::kill(it->second.pid, SIGCONT);
-        it->second.paused = false;
-        f.trace.record(TraceKind::kNodeResumed, id);
-        // Peer-filter updates (splits/heals) that happened while the node
-        // was stopped were never delivered; reinstall the current set.
-        control_or_fail(f, a, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
-        // And sample immediately, so state from before the pause cannot be
-        // attributed into a closure window opened later.
-        sample_node(f, id, it->second);
-      }
-      return;
-    }
-    case ActionKind::kKeyedIncrements:
-      do_keyed_increments(a);
-      return;
-    case ActionKind::kGrowMap:
-      if (!keyed_.queue_growth()) fail(a, "the map already spans every fleet");
-      return;
-  }
-}
-
-void ProcessRunner::do_await(Fleet& f, const Action& a) {
-  if (a.kind == ActionKind::kAwaitVsStable && !spec_.enable_vs) {
-    fail(a, "await_vs_stable needs enable_vs in the spec");
-    return;
-  }
-  // await_converged spans every fleet; the other awaits look at fleet
-  // a.shard.
-  const bool every_fleet = a.kind == ActionKind::kAwaitConverged;
-  const auto met = [&] {
-    return every_fleet ? converged_sampled()
-                       : await_met(a, alive_snapshots(f));
-  };
-  if (!await(await_budget(a.duration), met)) {
-    fail(a, await_failure(a.kind));
-    return;
-  }
-  if (a.kind == ActionKind::kAwaitVsStable) {
-    f.trace.record(TraceKind::kVsStable, kNoNode);
-  }
-  if (!every_fleet) return;
-  for (Fleet& g : fleets_) {
-    if (skipped(g)) continue;
-    g.trace.record(
-        TraceKind::kConverged, kNoNode,
-        TraceRecorder::digest(*node::common_config(alive_snapshots(g))));
-  }
-}
-
-void ProcessRunner::do_increment_burst(Fleet& f, const Action& a) {
-  IdSet queued;
-  for (NodeId id : targets_or_alive(f, a)) {
-    auto it = f.procs.find(id);
-    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
-      continue;
-    }
-    control_or_fail(f, a, id, "INC " + std::to_string(a.n));
-    if (failed_) return;
-    queued.insert(id);
-  }
-  // Generous drain budget: increments are quorum operations that legally
-  // abort and retry through reconfigurations. Remaining queue depth at the
-  // deadline is not a scenario failure — exactly like the simulator's
-  // bounded-attempt bursts — it only means fewer ops feed the order check.
-  const SimTime budget = await_budget(120 * kSec * (a.n == 0 ? 1 : a.n));
-  await(budget, [&] {
-    for (NodeId id : queued) {
-      const Proc& p = f.procs.at(id);
-      if (p.alive && !p.paused && (!p.sampled() || p.incq != 0)) return false;
-    }
-    return true;
-  });
-  harvest_ops();
-}
-
-void ProcessRunner::do_keyed_increments(const Action& a) {
-  KeyedWorkload::Fleets fleets;
-  fleets.membership = [this](std::uint32_t s) {
-    const Fleet& f = fleets_[s];
-    return node::common_config(alive_snapshots(f)).value_or(alive(f));
-  };
-  // One routed attempt is one single-op burst on the target. A paused or
-  // crashed target is skipped by the burst, so its await is instant and
-  // the fleet's harvested-op count stays put: the router rotates on. An op
-  // that straggles past the burst's drain budget gets credited to a later
-  // attempt on the same fleet; both ops did complete there, which is what
-  // the isolation ledger measures.
-  fleets.attempt = [this](std::uint32_t s, NodeId target) {
-    Fleet& f = fleets_[s];
-    const std::uint64_t before = f.op_latency.count();
-    do_increment_burst(f, Action::increment_burst(1, {target}));
-    return f.op_latency.count() > before;
-  };
-  fleets.stalled = [this](std::uint32_t s) { return stalled(fleets_[s]); };
-  fleets.failed = [this] { return failed_; };
-  keyed_.run(a, fleets);
-}
-
-void ProcessRunner::do_shmem(Fleet& f, const Action& a, bool write) {
-  std::string cmd;
-  if (write) {
-    cmd = "SHMEMW " + a.reg + " " + std::to_string(a.n);
-  } else {
-    cmd = "SHMEMR " + a.reg;
-  }
-  IdSet queued;
-  for (NodeId id : targets_or_alive(f, a)) {
-    auto it = f.procs.find(id);
-    if (it == f.procs.end() || !it->second.alive || it->second.paused) {
-      continue;
-    }
-    control_or_fail(f, a, id, cmd);
-    if (failed_) return;
-    queued.insert(id);
-  }
-  await(await_budget(160 * kSec), [&] {
-    for (NodeId id : queued) {
-      const Proc& p = f.procs.at(id);
-      if (p.alive && !p.paused && (!p.sampled() || p.shmq != 0)) return false;
-    }
-    return true;
-  });
-  for (NodeId id : queued) {
-    const Proc& p = f.procs.at(id);
-    f.trace.record(TraceKind::kShmemOpDone, id,
-                   (p.sampled() && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
   }
 }
 

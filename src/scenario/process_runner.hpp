@@ -2,16 +2,17 @@
 
 // Process execution backend for the scenario engine (POSIX only).
 //
-// Takes the same ScenarioSpec the simulator consumes and runs it against
-// real ssr_node daemons on localhost UDP — one OS process per node — with
-// the fault script implemented in OS primitives:
+// The ScenarioBackend interpreter's second fabric: it runs the same
+// ScenarioSpec the simulator consumes against real ssr_node daemons on
+// localhost UDP — one OS process per node — with every fabric primitive
+// implemented in OS primitives:
 //
 //   crash / reboot      SIGKILL (+ a fresh process for the replacement id)
 //   pause / resume      SIGSTOP / SIGCONT
 //   partition / heal    per-node peer filters installed over the control
 //                       socket (UdpTransport::set_blocked on each side)
 //   channel garbage     raw junk datagrams fired at every node's data port
-//   state corruption    CORRUPT/CONF/PLANT_CTR/RECMA control commands
+//   state faults        CORRUPT/CONF/PLANT_CTR/RECMA control commands
 //   workload            INC/SHMEMW/SHMEMR control commands
 //   keyed workload      one single-op INC per routed attempt; it completed
 //                       iff the fleet's harvested-op count moved
@@ -20,7 +21,7 @@
 // the simulator uses, and the same InvariantRegistry checks evaluate at the
 // end: closure windows over sampled config changes, counter order over the
 // per-operation intervals the daemons report, convergence awaits. Wall
-// time replaces virtual time; sim durations are scaled by
+// time replaces virtual time; spec durations are scaled by
 // ProcessBackendOptions::time_scale.
 
 #include <cstdint>
@@ -51,26 +52,20 @@ struct ProcessBackendOptions {
   /// Awaits stop early on success, so this mostly paces run_for stretches
   /// and closure windows.
   double time_scale = 0.05;
-  /// Floor for await budgets after scaling (process startup + real
-  /// convergence time dominate short awaits).
-  SimTime min_await = 30 * kSec;
   /// Forwarded into the daemons' RNG seeds (per-fleet and per-node mixed).
   std::uint64_t seed = 1;
   /// --seconds passed to every daemon: a self-destruct horizon so orphans
   /// die even if the runner is SIGKILLed mid-scenario.
   std::uint64_t node_seconds = 900;
-  /// Daemon do-forever tick (µs); smaller than the daemon's standalone
-  /// default to keep scaled scenarios snappy.
-  std::uint64_t tick_us = 2000;
 };
 
-/// ScenarioBackend over real processes: one ssr_node fleet per
-/// ScenarioSpec::shards, all running concurrently in real time and sampled
-/// by one control loop. With more than one fleet, fleet s stamps shard tag
-/// s+1 into its UDP envelopes (0 is the untagged default), so disjoint
-/// fleets on one host cannot leak protocol traffic into each other even
-/// with overlapping node ids. One runner instance runs one spec once; the
-/// destructor reaps every child it spawned.
+/// The process fabric: one ssr_node fleet per ScenarioSpec::shards, all
+/// running concurrently in real time and sampled by one control loop. With
+/// more than one fleet, fleet s stamps shard tag s+1 into its UDP envelopes
+/// (0 is the untagged default), so disjoint fleets on one host cannot leak
+/// protocol traffic into each other even with overlapping node ids. One
+/// runner instance runs one spec once; the destructor reaps every child it
+/// spawned.
 ///
 /// Threading: deliberately single-threaded. Fleets are separate OS
 /// processes driven round-robin from one loop, so there is no shared
@@ -79,16 +74,6 @@ class ProcessRunner final : public ScenarioBackend {
  public:
   ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt);
   ~ProcessRunner() override;
-
-  ProcessRunner(const ProcessRunner&) = delete;
-  ProcessRunner& operator=(const ProcessRunner&) = delete;
-
-  ScenarioResult run() override;
-  /// Fleet 0's trace and registry (the only ones of a one-fleet spec).
-  TraceRecorder& trace() override { return fleets_.front().trace; }
-  InvariantRegistry& invariants() override {
-    return *fleets_.front().registry;
-  }
 
   const std::string& work_dir() const { return dir_; }
 
@@ -99,11 +84,7 @@ class ProcessRunner final : public ScenarioBackend {
   /// Spawns every fleet's initial cohort and publishes the port maps.
   /// Returns false (with the failure recorded) when a daemon failed to
   /// start.
-  bool bootstrap();
-  /// Applies one action; records it in the traces first. No-op once failed.
-  void step(const Action& a);
-  /// Final harvest + invariant evaluation; call once, after the last step.
-  ScenarioResult finish();
+  bool bootstrap() override;
 
   /// One STATUS round over every alive, unpaused node of every fleet.
   /// Config changes observed since the previous round are recorded into
@@ -113,7 +94,7 @@ class ProcessRunner final : public ScenarioBackend {
   bool sample();
   /// The await_converged condition over the latest samples (no new
   /// sampling).
-  bool converged_sampled() const;
+  bool converged_sampled() { return converged(); }
 
  private:
   struct Proc {
@@ -138,12 +119,13 @@ class ProcessRunner final : public ScenarioBackend {
     std::size_t ops_harvested = 0;
 
     bool sampled() const { return snap.id != kNoNode; }
+    /// Alive and not stopped: it answers control requests.
+    bool running() const { return alive && !paused; }
   };
 
   /// One ssr_node fleet: its daemons, peer filters, trace, registry and
   /// latency histogram.
   struct Fleet {
-    std::string name;
     std::string dir;
     std::uint64_t seed = 0;
     /// Envelope shard tag: 0 for a one-fleet spec, s+1 for fleet s.
@@ -154,37 +136,60 @@ class ProcessRunner final : public ScenarioBackend {
     /// Runner-side view of each node's peer filter (BLOCK replaces the
     /// whole set, so partitions accumulate here and ship as full sets).
     std::map<NodeId, IdSet> blocked;
-    NodeId next_id = 1;
     /// Wall-clock client-op latencies harvested from the daemons.
     util::LatencyHistogram op_latency;
   };
+
+  // -- Fabric primitives ------------------------------------------------------
+  TraceRecorder& fleet_trace(std::uint32_t s) override {
+    return fleets_[s].trace;
+  }
+  InvariantRegistry& fleet_registry(std::uint32_t s) override {
+    return *fleets_[s].registry;
+  }
+  void spawn(std::uint32_t s, NodeId id) override;
+  void crash(std::uint32_t s, NodeId id) override;
+  void pause(std::uint32_t s, NodeId id) override;
+  void resume(std::uint32_t s, NodeId id) override;
+  void cut(std::uint32_t s, const IdSet& a, const IdSet& b) override;
+  void heal(std::uint32_t s) override;
+  void inject(std::uint32_t s, NodeId id, const StateFault& f) override;
+  void garbage(std::uint32_t s, std::uint64_t per_node) override;
+  void increments(std::uint32_t s, const IdSet& targets,
+                  std::uint64_t per_node) override;
+  void shmem(std::uint32_t s, const IdSet& targets, bool write,
+             const std::string& reg, std::uint64_t salt) override;
+  bool keyed_attempt(std::uint32_t s, NodeId target) override;
+  /// Pulls completed operations from every running node into the
+  /// counter-order monitors.
+  void harvest() override;
+  void run_for(SimTime d) override;
+  bool wait_until(SimTime budget, const std::function<bool()>& met) override {
+    return await(await_budget(budget), met);
+  }
+  void refresh() override;
+  /// Process-level quiescence is an OS triviality (the processes are gone);
+  /// the event-level drain check is a simulator property.
+  bool drain(std::uint32_t, SimTime) override { return true; }
+  IdSet alive(std::uint32_t s) override;
+  bool stalled(std::uint32_t s) override;
+  node::NodeSnapshot snapshot(std::uint32_t s, NodeId id) override {
+    return fleets_[s].procs.at(id).snap;
+  }
+  void fill_fleet_result(std::uint32_t s, ScenarioResult& r) override;
 
   /// Wall microseconds since run start — the backend's SimTime.
   SimTime now() const;
   SimTime scaled(SimTime sim_duration) const;
   SimTime await_budget(SimTime sim_duration) const;
 
-  NodeId spawn_fresh_node(Fleet& f);
-  void spawn(Fleet& f, NodeId id, const std::string& peers_path);
-  void kill_node(Fleet& f, NodeId id);
+  void launch(Fleet& f, NodeId id, const std::string& peers_path);
   void write_cohort_peer_map(const Fleet& f);
   bool collect_ports(Fleet& f, NodeId id);
-  /// Records a failure not tied to one action ("node 3 failed to start").
-  void fail_node(const Fleet& f, NodeId id, const std::string& what);
+  /// Records a failure at one node ("node 3 failed to start").
+  void fail_node(std::uint32_t s, NodeId id, const std::string& what);
 
-  static IdSet alive(const Fleet& f);
-  IdSet targets_or_alive(const Fleet& f, const Action& a) const;
-  /// Every alive daemon of `f` is stopped. With more than one fleet,
-  /// await_converged and mark_stable skip such a fleet.
-  static bool stalled(const Fleet& f);
-  bool skipped(const Fleet& f) const {
-    return fleets_.size() > 1 && stalled(f);
-  }
-
-  bool sample_node(Fleet& f, NodeId id, Proc& p);
-  /// Pulls completed operations from every alive node into the
-  /// counter-order monitors (incremental; safe to call repeatedly).
-  void harvest_ops();
+  bool sample_node(std::uint32_t s, NodeId id, Proc& p);
   void harvest_ops_from(Fleet& f, NodeId id, Proc& p);
 
   /// Sleeps in sampling steps until `pred` holds or `budget` elapses.
@@ -193,7 +198,7 @@ class ProcessRunner final : public ScenarioBackend {
     const SimTime deadline = now() + budget;
     for (;;) {
       sample();
-      if (failed_) return false;
+      if (failed()) return false;
       if (pred()) return true;
       if (now() >= deadline) return pred();
       step_sleep();
@@ -201,26 +206,21 @@ class ProcessRunner final : public ScenarioBackend {
   }
 
   void step_sleep() const;
-  void send_blocked_sets(Fleet& f, const IdSet& touched);
-  void control_or_fail(Fleet& f, const Action& a, NodeId id,
-                       const std::string& cmd);
+  void send_blocked_sets(std::uint32_t s, const IdSet& touched);
+  void control_or_fail(std::uint32_t s, NodeId id, const std::string& cmd);
+  /// Sends `cmd` to every running target, then waits until each drained
+  /// its queue (STATUS `queue`=0) or `budget` (spec time) passed. Returns
+  /// the targets it queued on.
+  IdSet queue_and_drain(std::uint32_t s, const IdSet& targets,
+                        const std::string& cmd, std::uint64_t Proc::*queue,
+                        SimTime budget);
 
-  void apply(const Action& a);
-  void do_await(Fleet& f, const Action& a);
-  void do_increment_burst(Fleet& f, const Action& a);
-  void do_keyed_increments(const Action& a);
-  void do_shmem(Fleet& f, const Action& a, bool write);
-  void do_garbage(const Fleet& f, std::uint64_t per_node);
-  ScenarioResult fleet_result(const Fleet& f) const;
-
-  ScenarioSpec spec_;
   ProcessBackendOptions opt_;
   std::string dir_;
   bool made_dir_ = false;
   std::uint64_t epoch_usec_ = 0;
   ctl::ControlClient client_;
   std::vector<Fleet> fleets_;
-  KeyedWorkload keyed_;
   bool ran_ = false;
   bool bootstrapped_ = false;
 };

@@ -14,24 +14,17 @@
 
 namespace ssr::scenario {
 
-/// Interprets a ScenarioSpec against fresh Worlds on the deterministic
-/// scheduler, one World per fleet (ScenarioSpec::shards). One (spec, seed)
-/// pair names exactly one execution: the same pair always produces a
-/// byte-identical trace (and therefore hash).
+/// The simulator fabric: one fresh World per fleet (ScenarioSpec::shards)
+/// on the deterministic scheduler, driven by the ScenarioBackend
+/// interpreter. One (spec, seed) pair names exactly one execution: the same
+/// pair always produces a byte-identical trace (and therefore hash).
 class ScenarioRunner final : public ScenarioBackend {
  public:
+  /// Builds every fleet's World and boots its initial cohort.
   ScenarioRunner(ScenarioSpec spec, std::uint64_t seed);
 
-  /// Runs every phase, then evaluates the invariant registries.
-  ScenarioResult run() override;
-
-  /// Fleet 0's world, trace and registry (the only ones of a one-fleet
-  /// spec).
+  /// Fleet 0's world (the only one of a one-fleet spec).
   harness::World& world() { return *fleets_.front().world; }
-  TraceRecorder& trace() override { return *fleets_.front().trace; }
-  InvariantRegistry& invariants() override {
-    return *fleets_.front().registry;
-  }
 
  private:
   /// Completion state of one increment attempt. Heap-held and captured by
@@ -53,7 +46,6 @@ class ScenarioRunner final : public ScenarioBackend {
     std::unique_ptr<harness::FaultInjector> injector;
     std::unique_ptr<TraceRecorder> trace;
     std::unique_ptr<InvariantRegistry> registry;
-    NodeId next_id = 1;
     /// Virtual-time client-op latencies across every workload action.
     util::LatencyHistogram op_latency;
     /// Attempts whose await timed out with the operation still in flight;
@@ -70,15 +62,50 @@ class ScenarioRunner final : public ScenarioBackend {
   /// clock leads another's by more than this.
   static constexpr SimTime kSlice = 20 * kMsec;
 
-  void apply(const Action& a);
-  NodeId add_fresh_node(Fleet& f);
-  IdSet targets_or_alive(Fleet& f, const Action& a) const;
-  /// Every alive node of `f` is paused. With more than one fleet,
-  /// await_converged and mark_stable skip such a fleet.
-  bool stalled(const Fleet& f) const;
-  bool skipped(const Fleet& f) const {
-    return fleets_.size() > 1 && stalled(f);
+  // -- Fabric primitives ------------------------------------------------------
+  TraceRecorder& fleet_trace(std::uint32_t s) override {
+    return *fleets_[s].trace;
   }
+  InvariantRegistry& fleet_registry(std::uint32_t s) override {
+    return *fleets_[s].registry;
+  }
+  /// The constructor booted every cohort.
+  bool bootstrap() override { return true; }
+  void spawn(std::uint32_t s, NodeId id) override;
+  void crash(std::uint32_t s, NodeId id) override;
+  /// The closest fabric analog of SIGSTOP: a stopped process takes no
+  /// steps and answers nothing, so from its peers' point of view it is
+  /// unreachable until resumed.
+  void pause(std::uint32_t s, NodeId id) override;
+  void resume(std::uint32_t s, NodeId id) override;
+  void cut(std::uint32_t s, const IdSet& a, const IdSet& b) override {
+    fleets_[s].world->network().split(a, b);
+  }
+  void heal(std::uint32_t s) override { fleets_[s].world->network().heal(); }
+  void inject(std::uint32_t s, NodeId id, const StateFault& f) override;
+  void garbage(std::uint32_t s, std::uint64_t per_channel) override {
+    fleets_[s].injector->fill_channels_with_garbage(per_channel);
+  }
+  void increments(std::uint32_t s, const IdSet& targets,
+                  std::uint64_t per_node) override;
+  void shmem(std::uint32_t s, const IdSet& targets, bool write,
+             const std::string& reg, std::uint64_t salt) override;
+  bool keyed_attempt(std::uint32_t s, NodeId target) override;
+  void harvest() override;
+  void run_for(SimTime d) override { advance(d); }
+  bool wait_until(SimTime budget, const std::function<bool()>& met) override {
+    return await(budget, met);
+  }
+  /// Predicates read live node state; there is nothing to refresh.
+  void refresh() override {}
+  bool drain(std::uint32_t s, SimTime budget) override;
+  IdSet alive(std::uint32_t s) override { return fleets_[s].world->alive(); }
+  bool stalled(std::uint32_t s) override;
+  node::NodeSnapshot snapshot(std::uint32_t s, NodeId id) override {
+    return node::NodeSnapshot::of(fleets_[s].world->node(id));
+  }
+  void fill_fleet_result(std::uint32_t s, ScenarioResult& r) override;
+  void fill_result(ScenarioResult& r) override;
 
   /// Advances every fleet by `d` in kSlice round-robin slices. With one
   /// fleet this is the same execution as a single run_for(d): the
@@ -102,20 +129,10 @@ class ScenarioRunner final : public ScenarioBackend {
   Attempt increment_once(Fleet& f, NodeId id, SimTime busy_budget,
                          SimTime done_budget);
   void record_increment(Fleet& f, NodeId id, const PendingIncrement& st);
-  void do_await(Fleet& f, const Action& a);
-  void do_increment_burst(Fleet& f, const Action& a);
-  void do_keyed_increments(const Action& a);
-  void do_shmem(Fleet& f, const Action& a, bool write);
-  void do_await_quiescent(Fleet& f, const Action& a);
-  void harvest_increments();
-  ScenarioResult fleet_result(Fleet& f, std::string name) const;
 
-  ScenarioSpec spec_;
-  std::uint64_t seed_;
   /// Buffer-pool counters at construction, for per-run deltas.
   wire::BufferPool::Stats pool_at_start_;
   std::vector<Fleet> fleets_;
-  KeyedWorkload keyed_;
 };
 
 /// Convenience: build, run, and summarize in one call.

@@ -9,8 +9,8 @@
 namespace ssr::scenario {
 
 /// One step of a scenario script. Actions are plain data so a spec can be
-/// printed, hashed and replayed; the ScenarioRunner interprets them against
-/// a harness::World on the deterministic scheduler.
+/// printed, hashed and replayed; ScenarioBackend::apply interprets them over
+/// the simulator or the process fleet.
 enum class ActionKind : std::uint8_t {
   kAddNodes = 1,      ///< n: nodes to add (fresh sequential ids)
   kCrash,             ///< targets: crash-stop these nodes

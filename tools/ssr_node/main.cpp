@@ -1,8 +1,9 @@
 // ssr_node — one full-stack protocol node over real UDP sockets.
 //
 //   ssr_node --id N --peers FILE [--seconds S] [--increments K]
-//            [--tick-us T] [--retransmit-us T] [--ack-threshold A] [--vs]
-//            [--seed R] [--aggressive] [--adopt-joiners] [--port-file FILE]
+//            [--tick-us T] [--vs] [--seed R] [--aggressive]
+//            [--adopt-joiners] [--exhaust-bound B] [--shard S]
+//            [--port-file FILE]
 //
 // FILE holds one "id host port" triple per line ('#' starts a comment);
 // the entry matching --id is the local bind address. Port 0 anywhere means
@@ -57,6 +58,12 @@ namespace {
 
 using namespace ssr;
 
+/// Token-link pacing over real sockets: the retransmit period and the ack
+/// threshold, which trades round (heartbeat) rate against duplicate
+/// tolerance since real sockets have no fixed channel capacity.
+constexpr SimTime kRetransmitPeriod = 2000 * kUsec;
+constexpr std::size_t kAckThreshold = 3;
+
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
@@ -67,12 +74,9 @@ struct Options {
   std::uint64_t seconds = 60;
   std::uint64_t increments = 0;
   std::uint64_t tick_us = 5000;
-  std::uint64_t retransmit_us = 2000;
-  std::size_t ack_threshold = 3;
   std::uint64_t seed = 0;  // 0 = derive from id
   std::uint64_t exhaust_bound = 0;  // 0 = keep the counter default
   std::uint32_t shard = 0;  // envelope shard tag (sharded deployments)
-  std::size_t batch = 16;   // sendmmsg/recvmmsg ring depth (1 = unbatched)
   bool enable_vs = false;
   bool aggressive = false;
   bool adopt_joiners = false;
@@ -81,11 +85,10 @@ struct Options {
 int usage() {
   std::fprintf(stderr,
                "usage: ssr_node --id N --peers FILE [--seconds S=60]\n"
-               "                [--increments K=0] [--tick-us T=5000]\n"
-               "                [--retransmit-us T=2000] [--ack-threshold A=3]"
-               " [--vs]\n"
+               "                [--increments K=0] [--tick-us T=5000] [--vs]\n"
                "                [--seed R] [--aggressive] [--adopt-joiners]\n"
-               "                [--port-file FILE] [--batch N=16]\n");
+               "                [--exhaust-bound B] [--shard S]"
+               " [--port-file FILE]\n");
   return 2;
 }
 
@@ -135,11 +138,9 @@ class Daemon {
     node::NodeConfig ncfg;
     ncfg.enable_vs = opt_.enable_vs;
     ncfg.tick_period = opt_.tick_us;
-    ncfg.mux.link.retransmit_period = opt_.retransmit_us;
-    // Real sockets have no fixed channel capacity; the threshold trades
-    // round (heartbeat) rate against duplicate tolerance.
-    ncfg.mux.link.ack_threshold = opt_.ack_threshold;
-    ncfg.mux.link.clean_threshold = opt_.ack_threshold;
+    ncfg.mux.link.retransmit_period = kRetransmitPeriod;
+    ncfg.mux.link.ack_threshold = kAckThreshold;
+    ncfg.mux.link.clean_threshold = kAckThreshold;
     if (opt_.exhaust_bound != 0) {
       ncfg.counter.exhaust_bound = opt_.exhaust_bound;
     }
@@ -394,16 +395,15 @@ class Daemon {
       shmem_queue_.emplace_back(false, a[0], 0);
       return "OK";
     }
-    if (req.cmd == "CORRUPT" && a.size() == 1) {
-      if (a[0] == "recsa") {
-        node_->recsa().inject_corruption(corrupt_rng_, all_ids_);
-        return "OK";
-      }
-      if (a[0] == "fd") {
-        node_->failure_detector().inject_corruption(corrupt_rng_);
-        return "OK";
-      }
-      return "ERR unknown component";
+    if (req.cmd == "CORRUPT" && a.size() == 2 && a[0] == "recsa") {
+      auto ids = ctl::parse_ids(a[1]);
+      if (!ids) return "ERR bad id list";
+      node_->recsa().inject_corruption(corrupt_rng_, *ids);
+      return "OK";
+    }
+    if (req.cmd == "CORRUPT" && a.size() == 1 && a[0] == "fd") {
+      node_->failure_detector().inject_corruption(corrupt_rng_);
+      return "OK";
     }
     if (req.cmd == "CONF" && a.size() == 1) {
       auto ids = ctl::parse_ids(a[0]);
@@ -420,11 +420,11 @@ class Daemon {
                                            counter::CounterPair::of(c));
       return "OK";
     }
-    if (req.cmd == "RECMA" && a.size() == 2) {
-      const bool no_maj = a[0] == "1";
-      const bool need = a[1] == "1";
-      for (NodeId other : all_ids_) {
-        if (other != opt_.id) node_->recma().inject_flags(other, no_maj, need);
+    if (req.cmd == "RECMA" && a.size() == 3) {
+      auto ids = ctl::parse_ids(a[2]);
+      if (!ids) return "ERR bad id list";
+      for (NodeId other : *ids) {
+        node_->recma().inject_flags(other, a[0] == "1", a[1] == "1");
       }
       return "OK";
     }
@@ -474,10 +474,6 @@ int main(int argc, char** argv) {
       opt.increments = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--tick-us" && i + 1 < argc) {
       opt.tick_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--retransmit-us" && i + 1 < argc) {
-      opt.retransmit_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--ack-threshold" && i + 1 < argc) {
-      opt.ack_threshold = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--seed" && i + 1 < argc) {
       opt.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--shard" && i + 1 < argc) {
@@ -485,11 +481,6 @@ int main(int argc, char** argv) {
           std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--exhaust-bound" && i + 1 < argc) {
       opt.exhaust_bound = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--batch" && i + 1 < argc) {
-      // A/B switch for the syscall-batching datapath; 1 = one syscall per
-      // datagram (the pre-batching behavior), clamped by the transport.
-      opt.batch = std::strtoull(argv[++i], nullptr, 10);
-      if (opt.batch == 0) opt.batch = 1;
     } else if (arg == "--vs") {
       opt.enable_vs = true;
     } else if (arg == "--aggressive") {
@@ -521,7 +512,6 @@ int main(int argc, char** argv) {
   tcfg.self = opt.id;
   tcfg.peers = *peers;
   tcfg.shard = opt.shard;
-  tcfg.batch = opt.batch;
   ssr::IdSet all_ids;
   for (const auto& [id, ep] : *peers) {
     (void)ep;
