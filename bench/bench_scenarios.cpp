@@ -15,12 +15,9 @@
 
 #include <time.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +29,10 @@
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/trace.hpp"
+// Replaces global operator new: BM_ChannelSendAlloc, BM_PairStoreMaintainAlloc
+// and BM_TraceRecordAlloc sample util::allocations() around their warmed
+// loops to assert the hot paths perform zero heap allocations.
+#include "util/alloc_counter.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -43,62 +44,6 @@
 #include "net/udp_transport.hpp"
 #include "wire/wire.hpp"
 #endif
-
-// --- Global allocation counter ----------------------------------------------
-// Every operator new in the process bumps this counter; BM_ChannelSendAlloc
-// samples it around the steady-state send→deliver loop to assert the packet
-// hot path performs zero heap allocations. Counting is process-wide, which
-// is exactly the point: any hidden allocation — closure, tombstone, payload
-// copy, container growth — is caught no matter which layer snuck it in.
-
-// Counting is disabled under ThreadSanitizer: TSan interposes on the
-// allocator itself, so replacing global operator new both fights those
-// interceptors and trips gcc's -Wmismatched-new-delete (malloc-backed new
-// paired with free). The zero-allocation contract is enforced by the
-// regular bench job; the TSan job is after races, not counts.
-#if defined(__SANITIZE_THREAD__)
-#define SSR_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SSR_TSAN_BUILD 1
-#endif
-#endif
-#ifndef SSR_TSAN_BUILD
-#define SSR_TSAN_BUILD 0
-#endif
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-#if !SSR_TSAN_BUILD
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-#endif
-}  // namespace
-
-#if !SSR_TSAN_BUILD
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#endif  // !SSR_TSAN_BUILD
 
 namespace ssr::bench {
 namespace {
@@ -702,14 +647,12 @@ void BM_ChannelSendAlloc(benchmark::State& state) {
   };
   for (std::uint64_t i = 0; i < 64; ++i) send_one(i);  // warm pool + slab
   std::uint64_t packets = 0;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = util::allocations();
   for (auto _ : state) {
     send_one(packets);
     ++packets;
   }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = util::allocations() - allocs_before;
   state.counters["allocs_per_packet"] = benchmark::Counter(
       packets > 0 ? static_cast<double>(allocs) / static_cast<double>(packets)
                   : 0);
@@ -745,14 +688,12 @@ void BM_PairStoreMaintainAlloc(benchmark::State& state) {
   };
   for (int i = 0; i < 64; ++i) round();  // converge + warm every container
   std::uint64_t rounds = 0;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = util::allocations();
   for (auto _ : state) {
     round();
     ++rounds;
   }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = util::allocations() - allocs_before;
   state.counters["allocs_per_round"] = benchmark::Counter(
       rounds > 0 ? static_cast<double>(allocs) / static_cast<double>(rounds)
                  : 0);
@@ -780,15 +721,13 @@ void BM_TraceRecordAlloc(benchmark::State& state) {
   }
   trace.clear();
   std::uint64_t events = 0;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = util::allocations();
   for (auto _ : state) {
     if (trace.size() == warm_events) trace.clear();  // ring lap boundary
     trace.record(scenario::TraceKind::kVsDeliver, 2, events, events * 31);
     ++events;
   }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = util::allocations() - allocs_before;
   benchmark::DoNotOptimize(trace.hash());
   state.counters["allocs_per_event"] = benchmark::Counter(
       events > 0 ? static_cast<double>(allocs) / static_cast<double>(events)

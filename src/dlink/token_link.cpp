@@ -87,6 +87,7 @@ TokenLink::TokenLink(net::Transport& transport, Rng rng, LinkConfig cfg,
       heartbeat_(std::move(heartbeat)) {
   SSR_ASSERT(cfg_.label_domain >= 4, "label domain too small");
   rx_clean_ = !cfg_.strict_clean;
+  rx_recent_.reserve(cfg_.label_domain / 2u);
 }
 
 void TokenLink::start() {
@@ -123,6 +124,13 @@ void TokenLink::transmit_current() {
   // Encoded in place (byte-identical to Frame::encode) so the every-round
   // retransmission neither copies tx_payload_ into a temporary Frame nor
   // allocates: the Writer buffer comes from the pool.
+  //
+  // Every copy is encoded and sealed afresh from the link state on purpose.
+  // A cached sealed frame hit by a transient fault would fail its CRC at
+  // the receiver on every retransmission: no ack would ever come back and
+  // the link would never stabilize. Re-sealing the current state is what
+  // lets the retransmit timer repair a corrupted sender, so caching sealed
+  // frames is not a safe optimization.
   wire::Writer w;
   w.reserve(1 + 4 + 1 + 4 + tx_payload_.size() + 4);
   if (tx_state_ == TxState::kCleaning) {
@@ -170,11 +178,13 @@ void TokenLink::handle_frame(const Frame& frame) {
           std::find(rx_recent_.begin(), rx_recent_.end(), frame.label) !=
           rx_recent_.end();
       if (!seen) {
-        // ssr-lint: allow(hot-path-alloc): label-history deque, bounded by label_domain/2.
-        rx_recent_.push_front(frame.label);
         // History shorter than the label domain (else fresh labels would be
-        // rejected) but long enough to cover reordered stragglers.
-        while (rx_recent_.size() > cfg_.label_domain / 2u) rx_recent_.pop_back();
+        // rejected) but long enough to cover reordered stragglers. The
+        // oldest label is dropped from the front.
+        if (rx_recent_.size() >= cfg_.label_domain / 2u)
+          rx_recent_.erase(rx_recent_.begin());
+        // ssr-lint: allow(hot-path-alloc): within the constructor's reserve.
+        rx_recent_.push_back(frame.label);
         ++stats_.frames_delivered;
         heartbeat_();
         deliver_(frame.payload);

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "dlink/frame.hpp"
 #include "net/transport.hpp"
@@ -101,8 +101,9 @@ class TokenLink {
   // Receiver side of link (peer → self). Reordered duplicates of earlier
   // rounds may arrive after a newer label was delivered; a short history of
   // recently delivered labels (shorter than the label domain, longer than
-  // the round-trip capacity) filters them.
-  std::deque<std::uint8_t> rx_recent_;
+  // the round-trip capacity) filters them. Oldest first, reserved to its
+  // bound at construction, so a delivery never allocates.
+  std::vector<std::uint8_t> rx_recent_;
   bool rx_clean_ = false;        // quarantine lifted
   std::uint8_t rx_clean_nonce_ = 0;
   std::size_t rx_clean_count_ = 0;

@@ -47,13 +47,10 @@ IdSet ThetaFD::trusted() const {
     min_count = std::min(min_count, count);
   }
   const std::uint64_t lim = limit(min_count);
-  std::size_t admitted = 0;
-  for (const auto& [id, count] : ranking()) {
-    if (admitted + 1 >= cfg_.max_nodes) break;  // +1 accounts for self
-    if (count <= lim) {
-      out.insert(id);
-      ++admitted;
-    }
+  // heartbeat()'s eviction keeps at most N-1 peers, so self plus every peer
+  // within the limit never exceeds N entries.
+  for (const auto& [id, count] : counts_) {
+    if (count <= lim) out.insert(id);
   }
   return out;
 }

@@ -9,10 +9,11 @@ World::World(WorldConfig cfg)
       rng_(cfg.seed),
       net_(sched_, Rng(cfg.seed ^ 0xC0FFEE), cfg.channel),
       transport_(net_) {
-  // Warm start: pre-size the event slab/heap so scenario startup does not
-  // pay growth reallocations on the first traffic bursts. The steady-state
-  // population is one timer per node plus capacity-bounded in-flight
-  // packets per channel pair; 4096 covers every library scenario.
+  // Warm start: pre-size the event slab and the timing wheel's node pool so
+  // scenario startup does not pay growth reallocations on the first traffic
+  // bursts. The steady-state population is one timer per node plus
+  // capacity-bounded in-flight packets per channel pair; 4096 covers every
+  // library scenario.
   sched_.reserve(4096);
   if (cfg_.adversary.enabled) {
     adversary_ = std::make_unique<net::Adversary>(

@@ -459,14 +459,22 @@ void RecSA::tick() {
   const Notification m = max_ntf();
   if (m.is_default()) {
     // ---- Brute-force stabilization (lines 26) ----
-    std::vector<ConfigValue> values;
+    // Two distinct proper configurations among the trusted records are a
+    // conflict. Compared against the first one in place, like choose():
+    // no vector of copies.
+    const ConfigValue* first = nullptr;
+    bool conflict = false;
     for (NodeId k : fd_self_) {
       const ConfigValue& c = config_of(k);
       if (c.is_non_participant() || c.is_bottom()) continue;
-      if (std::find(values.begin(), values.end(), c) == values.end())
-        values.push_back(c);
+      if (first == nullptr) {
+        first = &c;
+      } else if (c != *first) {
+        conflict = true;
+        break;
+      }
     }
-    if (values.size() > 1) {
+    if (conflict) {
       ++stats_.stale_detected[2];
       config_set(ConfigValue::bottom());
     }

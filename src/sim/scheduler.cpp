@@ -1,20 +1,21 @@
 #include "sim/scheduler.hpp"
 
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace ssr::sim {
 
 void Scheduler::reserve(std::size_t events) {
   slots_.reserve(events);
-  heap_.reserve(events);
-  staged_.reserve(64);
+  nodes_.reserve(events);
 }
 
 std::uint32_t Scheduler::alloc_slot() {
-  if (free_head_ != kNoSlot) {
+  if (free_head_ != kNone) {
     const std::uint32_t slot = free_head_;
     free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoSlot;
+    slots_[slot].next_free = kNone;
     return slot;
   }
   // ssr-lint: allow(hot-path-alloc): slab growth, bounded by the peak live-event population.
@@ -25,7 +26,7 @@ std::uint32_t Scheduler::alloc_slot() {
 void Scheduler::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   // Bumping the generation retires every outstanding {slot, gen} handle and
-  // turns the slot's heap entry into a tombstone in one store.
+  // turns the slot's queue entry into a tombstone in one store.
   ++s.gen;
   s.kind = Kind::kFree;
   s.sink = nullptr;
@@ -39,23 +40,24 @@ void Scheduler::free_slot(std::uint32_t slot) {
   --live_;
 }
 
-void Scheduler::heap_push(const HeapEntry& e) const {
-  std::size_t i = heap_.size();
-  // ssr-lint: allow(hot-path-alloc): amortized heap growth, capacity sticks across laps.
-  heap_.resize(i + 1);
+void Scheduler::heap_push(const HeapEntry& e) {
+  std::size_t i = overflow_.size();
+  // ssr-lint: allow(hot-path-alloc): overflow heap growth, capacity sticks
+  // across laps; only events due beyond the horizon land here.
+  overflow_.resize(i + 1);
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];  // move the hole up
+    if (!earlier(e, overflow_[parent])) break;
+    overflow_[i] = overflow_[parent];  // move the hole up
     i = parent;
   }
-  heap_[i] = e;
+  overflow_[i] = e;
 }
 
-void Scheduler::heap_pop() const {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+void Scheduler::heap_pop() {
+  const HeapEntry last = overflow_.back();
+  overflow_.pop_back();
+  const std::size_t n = overflow_.size();
   if (n == 0) return;
   std::size_t i = 0;
   for (;;) {
@@ -64,25 +66,89 @@ void Scheduler::heap_pop() const {
     std::size_t m = first;
     const std::size_t end = first + 4 < n ? first + 4 : n;
     for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[m])) m = c;
+      if (earlier(overflow_[c], overflow_[m])) m = c;
     }
-    if (!earlier(heap_[m], last)) break;
-    heap_[i] = heap_[m];  // move the hole down
+    if (!earlier(overflow_[m], last)) break;
+    overflow_[i] = overflow_[m];  // move the hole down
     i = m;
   }
-  heap_[i] = last;
+  overflow_[i] = last;
+}
+
+void Scheduler::wheel_push(SimTime when, std::uint32_t slot,
+                           std::uint32_t gen) {
+  std::uint32_t i = free_node_;
+  if (i != kNone) {
+    free_node_ = nodes_[i].next;
+    nodes_[i] = BucketNode{slot, gen, kNone};
+  } else {
+    i = static_cast<std::uint32_t>(nodes_.size());
+    // ssr-lint: allow(hot-path-alloc): node-pool growth, bounded by the
+    // peak wheel population.
+    nodes_.push_back(BucketNode{slot, gen, kNone});
+  }
+  const auto b = static_cast<std::uint32_t>(when & kMask);
+  Bucket& bucket = buckets_[b];
+  if (bucket.tail == kNone) {
+    bucket.head = i;
+    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  } else {
+    nodes_[bucket.tail].next = i;
+  }
+  bucket.tail = i;
+  ++wheel_entries_;
+}
+
+std::uint32_t Scheduler::next_bucket() const {
+  const auto from = static_cast<std::uint32_t>(now_ & kMask);
+  std::uint32_t w = from >> 6;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  // Terminates on a non-empty wheel; after a full lap the unmasked word
+  // covers the buckets just before now's (times near now + kHorizon).
+  while (bits == 0) {
+    w = (w + 1) % occupied_.size();
+    bits = occupied_[w];
+  }
+  return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+}
+
+Scheduler::BucketNode Scheduler::pop_bucket(std::uint32_t b) {
+  Bucket& bucket = buckets_[b];
+  const std::uint32_t i = bucket.head;
+  const BucketNode node = nodes_[i];
+  bucket.head = node.next;
+  if (bucket.head == kNone) {
+    bucket.tail = kNone;
+    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  }
+  nodes_[i].next = free_node_;
+  free_node_ = i;
+  --wheel_entries_;
+  return node;
+}
+
+void Scheduler::advance_to(SimTime t) {
+  now_ = t;
+  // Every overflow event is due at or after t (the wheel's earliest bucket
+  // or the overflow top bounds t), so the subtraction cannot wrap. Events
+  // land only in buckets the advance just drained, ahead of any direct push
+  // at their time.
+  while (!overflow_.empty() && overflow_.front().when - t < kHorizon) {
+    const HeapEntry e = overflow_.front();
+    heap_pop();
+    if (live(e.slot, e.gen)) wheel_push(e.when, e.slot, e.gen);
+  }
 }
 
 Scheduler::Handle Scheduler::push_event(SimTime when, std::uint32_t slot) {
-  HeapEntry e{when, next_seq_++, slot, slots_[slot].gen};
+  const std::uint32_t gen = slots_[slot].gen;
   ++live_;
-  if (in_step_) {
-    // ssr-lint: allow(hot-path-alloc): staging buffer keeps its capacity across steps.
-    staged_.push_back(e);
+  if (when - now_ < kHorizon) {
+    wheel_push(when, slot, gen);
   } else {
-    heap_push(e);
+    heap_push(HeapEntry{when, next_seq_++, slot, gen});
   }
-  return Handle(this, slot, e.gen);
+  return Handle(this, slot, gen);
 }
 
 Scheduler::Handle Scheduler::schedule_after(SimTime delay, Action action) {
@@ -118,54 +184,54 @@ bool Scheduler::event_pending(std::uint32_t slot, std::uint32_t gen) const {
   return slot < slots_.size() && slots_[slot].gen == gen;
 }
 
-void Scheduler::flush_staged() const {
-  for (const HeapEntry& e : staged_) heap_push(e);
-  staged_.clear();
-}
-
-void Scheduler::drop_tombstones() const {
-  // Popping the stale prefix is sufficient for an exact emptiness test: if
-  // the new top is live the heap is non-empty regardless of tombstones
-  // buried behind it.
-  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop();
+void Scheduler::execute(std::uint32_t slot) {
+  ++executed_;
+  Slot& s = slots_[slot];
+  // Move the work out and free the slot *before* executing: while the
+  // action runs its own handle is no longer pending, and rescheduling may
+  // reuse the slot safely.
+  if (s.kind == Kind::kPacket) {
+    PacketSink* sink = s.sink;
+    wire::Bytes payload = std::move(s.payload);
+    s.payload = wire::Bytes();
+    free_slot(slot);
+    sink->deliver_packet(std::move(payload));
+  } else {
+    Action fn = std::move(s.fn);
+    s.fn = nullptr;
+    free_slot(slot);
+    fn();
+  }
 }
 
 bool Scheduler::step(SimTime deadline) {
-  flush_staged();
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (top.when > deadline) return false;
-    heap_pop();
-    if (!entry_live(top)) continue;  // cancelled
-    now_ = top.when;
-    ++executed_;
-    Slot& s = slots_[top.slot];
-    // Move the work out and free the slot *before* executing, mirroring the
-    // old `*alive = false` semantics: while the action runs its own handle
-    // is no longer pending, and rescheduling may reuse the slot safely.
-    in_step_ = true;
-    if (s.kind == Kind::kPacket) {
-      PacketSink* sink = s.sink;
-      wire::Bytes payload = std::move(s.payload);
-      s.payload = wire::Bytes();
-      free_slot(top.slot);
-      sink->deliver_packet(std::move(payload));
-    } else {
-      Action fn = std::move(s.fn);
-      s.fn = nullptr;
-      free_slot(top.slot);
-      fn();
+  for (;;) {
+    if (wheel_entries_ == 0) {
+      // Only far events remain. Drop cancelled ones off the top first, so
+      // `now` never advances to the time of an event that does not run.
+      while (!overflow_.empty() &&
+             !live(overflow_.front().slot, overflow_.front().gen)) {
+        heap_pop();
+      }
+      if (overflow_.empty() || overflow_.front().when > deadline) return false;
+      advance_to(overflow_.front().when);  // brings the top into the wheel
+      continue;
     }
-    in_step_ = false;
+    const std::uint32_t b = next_bucket();
+    const SimTime when = now_ + ((b - now_) & kMask);
+    if (when > deadline) return false;
+    const BucketNode node = pop_bucket(b);
+    if (!live(node.slot, node.gen)) continue;  // cancelled
+    if (when != now_) advance_to(when);
+    execute(node.slot);
     return true;
   }
-  return false;
 }
 
 std::uint64_t Scheduler::run_until(SimTime deadline) {
   std::uint64_t n = 0;
   while (step(deadline)) ++n;
-  if (now_ < deadline) now_ = deadline;
+  if (now_ < deadline) advance_to(deadline);
   return n;
 }
 

@@ -48,17 +48,15 @@ IdSet::IdSet(std::initializer_list<NodeId> ids) {
 }
 
 IdSet IdSet::from_vector(std::vector<NodeId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  IdSet s;
-  s.grow(ids.size());
-  s.size_ = ids.size();
-  // An empty vector may hand out a null data(); memcpy from null is UB
-  // even for zero bytes.
-  if (!ids.empty()) {
-    std::memcpy(s.data(), ids.data(), ids.size() * sizeof(NodeId));
-  }
-  return s;
+  // An empty vector may hand out a null data(); it is never dereferenced.
+  const NodeId* p = ids.data();
+  return collect(ids.size(), [&p] { return *p++; });
+}
+
+void IdSet::normalize() {
+  NodeId* p = data();
+  if (!std::is_sorted(p, p + size_)) std::sort(p, p + size_);
+  size_ = static_cast<std::size_t>(std::unique(p, p + size_) - p);
 }
 
 bool IdSet::insert_slow(NodeId id) {

@@ -37,6 +37,19 @@ class IdSet {
   IdSet(std::initializer_list<NodeId> ids);
   /// Builds from an arbitrary (possibly unsorted, duplicated) vector.
   static IdSet from_vector(std::vector<NodeId> ids);
+  /// Builds from the `n` ids that `next()` returns, in any order and with
+  /// duplicates, without a temporary: up to kInlineCapacity ids touch no
+  /// allocator (the wire decoder builds every received set this way).
+  template <class Next>
+  static IdSet collect(std::size_t n, Next next) {
+    IdSet s;
+    s.grow(n);
+    NodeId* p = s.data();
+    for (std::size_t i = 0; i < n; ++i) p[i] = next();
+    s.size_ = n;
+    s.normalize();
+    return s;
+  }
 
   IdSet(const IdSet& other) { copy_from(other); }
   IdSet(IdSet&& other) noexcept { steal_from(other); }
@@ -120,6 +133,8 @@ class IdSet {
   const NodeId* data() const { return heap_ != nullptr ? heap_ : inline_; }
   NodeId* data() { return heap_ != nullptr ? heap_ : inline_; }
   bool insert_slow(NodeId id);
+  /// Sorts and deduplicates the first size_ ids in place.
+  void normalize();
   /// Ensures capacity ≥ need (geometric growth once spilled).
   void grow(std::size_t need);
   void release() {

@@ -102,11 +102,29 @@ BufferPool& BufferPool::local() {
 
 Bytes BufferPool::acquire() {
   ++stats_.acquired;
-  if (free_.empty()) return {};
-  ++stats_.reused;
+  if (free_.empty()) refill();
+  // Refill-created buffers sit under every released one, so handing one out
+  // is a miss, as creating a fresh buffer on demand would be.
+  if (free_.size() > fresh_) {
+    ++stats_.reused;
+  } else {
+    --fresh_;
+  }
   Bytes b = std::move(free_.back());
   free_.pop_back();
   return b;
+}
+
+void BufferPool::refill() {
+  free_.reserve(kMaxPooled);  // once per thread: release() never outgrows it
+  for (std::size_t i = 0; i < kRefill; ++i) {
+    Bytes b;
+    b.reserve(kBufferCapacity);
+    // ssr-lint: allow(hot-path-alloc): one batch per freelist underflow,
+    // bounded by the peak buffer population.
+    free_.push_back(std::move(b));
+  }
+  fresh_ = kRefill;
 }
 
 void BufferPool::release(Bytes&& b) {
@@ -222,17 +240,15 @@ bool Reader::boolean() {
 }
 
 IdSet Reader::id_set() {
-  std::uint16_t n = u16();
-  if (!ok_ || n > kMaxElements) {
+  const std::uint16_t n = u16();
+  // A truncated set fails before any id is read, like any short field.
+  if (!ok_ || n > kMaxElements || !take(4 * std::size_t{n})) {
     ok_ = false;
     return {};
   }
-  std::vector<NodeId> ids;
-  ids.reserve(n);
-  // ssr-lint: allow(hot-path-alloc): single reserved growth per decoded set.
-  for (std::uint16_t i = 0; i < n && ok_; ++i) ids.push_back(node_id());
-  if (!ok_) return {};
-  return IdSet::from_vector(std::move(ids));
+  // Decoded straight into the set: sorted and deduplicated in place, so an
+  // unsorted or duplicated set on the wire reads back exactly as before.
+  return IdSet::collect(n, [this] { return node_id(); });
 }
 
 Bytes Reader::bytes() {

@@ -45,16 +45,33 @@ Crc32cFn crc32c_hardware();
 /// Channel/Network release after delivery (and on loss, overflow and
 /// cancellation), and the capacity sticks to the buffer across laps.
 ///
+/// Buffers the pool creates all start with kBufferCapacity bytes, so a
+/// pooled buffer need not grow when it changes hands between message kinds,
+/// and an empty freelist refills with kRefill of them at once, so the last
+/// growth of the population after convergence draws on spares instead of
+/// the allocator.
+///
 /// The pool is an optimization, never an owner: a buffer that is not
-/// released simply frees normally, and acquire() on an empty pool falls
-/// back to a fresh vector. Nothing behavioural depends on pool state —
-/// contents are only ever read inside [0, size()) and every acquired
-/// buffer starts at size 0 — so recycling cannot perturb the deterministic
-/// replay executions.
+/// released simply frees normally. Nothing behavioural depends on pool
+/// state — contents are only ever read inside [0, size()) and every
+/// acquired buffer starts at size 0 — so recycling cannot perturb the
+/// deterministic replay executions.
 class BufferPool {
  public:
   /// Buffers kept in the freelist; beyond this, release() just frees.
   static constexpr std::size_t kMaxPooled = 1024;
+  /// Capacity of each buffer the pool creates: room for every steady-state
+  /// message of a 9-node VS-off cluster (its largest, a token-link data
+  /// frame, is 273 bytes). A larger message grows its buffer, which keeps
+  /// the larger capacity from then on.
+  static constexpr std::size_t kBufferCapacity = 512;
+  /// Buffers created per refill of an empty freelist. Measured on a
+  /// converged 9-node VS-off cluster, seeds 1-8: 1 s after convergence the
+  /// population is 624-629 buffers, and it still grows by up to 5 before
+  /// settling at 628-631. Over the next 2 s, creating buffers one at a time
+  /// allocates on five of those seeds, refills of 8 or 16 on two, and
+  /// refills of 32 on none.
+  static constexpr std::size_t kRefill = 32;
   /// Buffers with more capacity than this are not retained (a rare giant
   /// message must not pin its footprint forever).
   static constexpr std::size_t kMaxRetainedCapacity = 64 * 1024;
@@ -81,7 +98,10 @@ class BufferPool {
   std::size_t size() const { return free_.size(); }
 
  private:
+  void refill();
+
   std::vector<Bytes> free_;
+  std::size_t fresh_ = 0;  // refill-created buffers at the bottom of free_
   Stats stats_;
 };
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace ssr::sim {
 namespace {
@@ -229,8 +234,8 @@ TEST(Scheduler, CancelledPacketEventDoesNotDeliver) {
   EXPECT_EQ(sink.delivered, 0);
 }
 
-// Events scheduled from inside an executing event (the staged batch path)
-// run at their proper times and orders.
+// Events scheduled from inside an executing event run at their proper times
+// and orders.
 TEST(Scheduler, EventsStagedDuringStepRunInOrder) {
   Scheduler s;
   std::vector<int> order;
@@ -244,8 +249,8 @@ TEST(Scheduler, EventsStagedDuringStepRunInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// Cancelling an event that is still in the staged batch (scheduled by the
-// currently executing event) must work like any other cancel.
+// Cancelling an event scheduled by the currently executing event must work
+// like any other cancel.
 TEST(Scheduler, CancelOfStagedEventHolds) {
   Scheduler s;
   int fired = 0;
@@ -256,6 +261,276 @@ TEST(Scheduler, CancelOfStagedEventHolds) {
   s.run_until(100);
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(s.empty());
+}
+
+// --- Timing wheel and its overflow tier ------------------------------------
+
+constexpr SimTime kH = Scheduler::kHorizon;
+
+// An event beyond the horizon waits in the overflow tier. When `now`
+// reaches within a horizon of it, it must enter its bucket before the event
+// at the new time runs: a push from inside that event to the same `when`
+// comes later in seq order and must run later.
+TEST(Scheduler, FarEventAndLaterDirectPushAtSameWhenRunInSeqOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  const SimTime t = kH + 100;
+  s.schedule_at(t, [&] { order.push_back(1); });  // overflow: t - 0 >= kH
+  s.schedule_at(200, [&] {
+    // now = 200, so t is within the horizon: a direct bucket push.
+    s.schedule_at(t, [&] { order.push_back(2); });
+  });
+  // The same after an advance by run_until instead of by an event.
+  s.schedule_at(3 * kH, [&] { order.push_back(3); });
+  s.run_until(2 * kH + 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  s.schedule_at(3 * kH, [&] { order.push_back(4); });
+  s.run_until(4 * kH);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.events_executed(), 5u);
+}
+
+// A cancelled far event frees its slot at once. The slot's next occupant
+// must never run in place of the stale overflow entry when that entry
+// reaches the wheel: it runs once, at its own time.
+TEST(Scheduler,
+     CancelledFarEventSlotReusedBeforeMigrationNeverFiresNewOccupant) {
+  Scheduler s;
+  std::vector<SimTime> fired;
+  auto far = s.schedule_at(2 * kH, [&] { fired.push_back(0); });
+  far.cancel();
+  auto reuse = s.schedule_at(3 * kH, [&] { fired.push_back(s.now()); });
+  EXPECT_EQ(reuse.slot(), far.slot());
+  EXPECT_FALSE(far.pending());
+  EXPECT_TRUE(reuse.pending());
+  // A live event ahead of both: running it advances `now` to where the
+  // stale entry must move into the wheel, and drop, while it is not the
+  // queue's front.
+  int carrier = 0;
+  s.schedule_at(kH + 5, [&] { ++carrier; });
+  s.run_until(2 * kH + 1);
+  EXPECT_EQ(carrier, 1);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_TRUE(reuse.pending());
+  s.run_until(4 * kH);
+  EXPECT_EQ(fired, (std::vector<SimTime>{3 * kH}));
+  EXPECT_TRUE(s.empty());
+}
+
+// Reference model: a std::map keyed by (when, seq) is the specification of
+// the execution order. Seeded random programs drive the scheduler and the
+// model in lockstep and compare every observable after every operation.
+class WheelVsModel {
+ public:
+  explicit WheelVsModel(std::uint64_t seed) : seed_(seed), rng_(seed) {
+    sink_.h = this;
+  }
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::uint64_t op = rng_.next_below(10);
+      if (op < 5) {
+        schedule(rng_.next_below(3), delay(rng_));
+      } else if (op < 7) {
+        cancel(rng_.next_u64());
+      } else if (op < 9) {
+        const SimTime deadline = s_.now() + rng_.next_below(3 * kH);
+        const bool ran = s_.step(deadline);
+        ASSERT_EQ(ran, model_step(deadline)) << where();
+      } else {
+        const SimTime deadline = s_.now() + rng_.next_below(4 * kH);
+        const std::uint64_t n = s_.run_until(deadline);
+        ASSERT_EQ(n, model_run_until(deadline)) << where();
+      }
+      compare();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain: events spawn fewer than one child on average, so the
+    // population dies out and everything left runs, in order.
+    for (int lap = 0; lap < 1000 && !s_.empty(); ++lap) {
+      const SimTime end = s_.now() + 4 * kH;
+      ASSERT_EQ(s_.run_until(end), model_run_until(end)) << where();
+      compare();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(s_.empty()) << where();
+  }
+
+ private:
+  struct Sink final : PacketSink {
+    WheelVsModel* h = nullptr;
+    void deliver_packet(wire::Bytes&& payload) override {
+      int id = 0;
+      for (int i = 0; i < 4; ++i) id |= payload[i] << (8 * i);
+      wire::BufferPool::local().release(std::move(payload));
+      h->fire_real(id);
+    }
+  };
+
+  // Delays around the horizon's edges, far beyond it, and short ones.
+  static SimTime delay(Rng& r) {
+    switch (r.next_below(7)) {
+      case 0:
+        return 0;
+      case 1:
+        return kH - 1;
+      case 2:
+        return kH;
+      case 3:
+        return kH + 1;
+      case 4:
+        return r.next_below(3 * kH + 1);
+      default:
+        return r.next_below(40);
+    }
+  }
+
+  // Top-level schedule: both sides get the same id and time.
+  void schedule(std::uint64_t how, SimTime d) {
+    schedule_real(how, d);
+    model_schedule(model_next_id_++, m_now_ + d);
+  }
+
+  void schedule_real(std::uint64_t how, SimTime d) {
+    const int id = real_next_id_++;
+    Scheduler::Handle h;
+    if (how == 0) {
+      h = s_.schedule_at(s_.now() + d, [this, id] { fire_real(id); });
+    } else if (how == 1) {
+      h = s_.schedule_after(d, [this, id] { fire_real(id); });
+    } else {
+      wire::Bytes payload(4);
+      for (int i = 0; i < 4; ++i) {
+        payload[i] = static_cast<std::uint8_t>(id >> (8 * i));
+      }
+      h = s_.schedule_packet_after(d, &sink_, std::move(payload));
+    }
+    handles_.push_back(h);
+  }
+
+  // One of the `created` ids handed out so far, fired and cancelled ones
+  // included.
+  static int pick(std::uint64_t r, int created) {
+    return static_cast<int>(r % static_cast<std::uint64_t>(created));
+  }
+
+  void cancel(std::uint64_t r) {
+    if (real_next_id_ == 0) return;
+    const int id = pick(r, real_next_id_);
+    handles_[id].cancel();
+    model_cancel(id);
+  }
+
+  // What an event does when it runs, derived from (seed, id) alone so that
+  // both sides act identically as long as their orders agree: record
+  // itself, schedule up to two more events, and sometimes cancel one.
+  struct Script {
+    int children = 0;
+    std::uint64_t how[2] = {0, 0};
+    SimTime delay[2] = {0, 0};
+    bool cancels = false;
+    std::uint64_t cancel_pick = 0;
+  };
+  Script script(int id) const {
+    Rng r(seed_ * 1000003u + static_cast<std::uint64_t>(id));
+    Script sc;
+    const std::uint64_t kids = r.next_below(4);  // 0, 0, 1 or 2 children
+    sc.children = kids < 2 ? 0 : static_cast<int>(kids - 1);
+    for (int c = 0; c < 2; ++c) {
+      sc.how[c] = r.next_below(3);
+      sc.delay[c] = delay(r);
+    }
+    sc.cancels = r.chance(0.4);
+    sc.cancel_pick = r.next_u64();
+    return sc;
+  }
+
+  void fire_real(int id) {
+    real_order_.emplace_back(id, s_.now());
+    const Script sc = script(id);
+    for (int c = 0; c < sc.children; ++c) schedule_real(sc.how[c], sc.delay[c]);
+    if (sc.cancels) handles_[pick(sc.cancel_pick, real_next_id_)].cancel();
+  }
+
+  void fire_model(int id) {
+    model_order_.emplace_back(id, m_now_);
+    const Script sc = script(id);
+    for (int c = 0; c < sc.children; ++c) {
+      model_schedule(model_next_id_++, m_now_ + sc.delay[c]);
+    }
+    if (sc.cancels) model_cancel(pick(sc.cancel_pick, model_next_id_));
+  }
+
+  void model_schedule(int id, SimTime when) {
+    const Key k{when, m_seq_++};
+    queue_[k] = id;
+    key_of_[id] = k;
+  }
+  void model_cancel(int id) {
+    auto it = key_of_.find(id);
+    if (it == key_of_.end()) return;
+    queue_.erase(it->second);
+    key_of_.erase(it);
+  }
+  bool model_step(SimTime deadline) {
+    if (queue_.empty() || queue_.begin()->first.first > deadline) return false;
+    const auto [k, id] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    key_of_.erase(id);
+    m_now_ = k.first;
+    ++m_executed_;
+    fire_model(id);
+    return true;
+  }
+  std::uint64_t model_run_until(SimTime deadline) {
+    std::uint64_t n = 0;
+    while (model_step(deadline)) ++n;
+    if (m_now_ < deadline) m_now_ = deadline;
+    return n;
+  }
+
+  void compare() {
+    ASSERT_EQ(real_order_, model_order_) << where();
+    ASSERT_EQ(s_.now(), m_now_) << where();
+    ASSERT_EQ(s_.events_executed(), m_executed_) << where();
+    ASSERT_EQ(s_.live_events(), queue_.size()) << where();
+    ASSERT_EQ(s_.empty(), queue_.empty()) << where();
+    ASSERT_EQ(real_next_id_, model_next_id_) << where();
+    for (int id = 0; id < real_next_id_; ++id) {
+      ASSERT_EQ(handles_[id].pending(), key_of_.count(id) == 1)
+          << where() << " id=" << id;
+    }
+  }
+
+  std::string where() const {
+    return "seed=" + std::to_string(seed_) +
+           " executed=" + std::to_string(m_executed_);
+  }
+
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  std::uint64_t seed_;
+  Rng rng_;
+  Scheduler s_;
+  Sink sink_;
+  std::vector<Scheduler::Handle> handles_;
+  std::vector<std::pair<int, SimTime>> real_order_;
+  int real_next_id_ = 0;
+
+  std::map<Key, int> queue_;
+  std::map<int, Key> key_of_;
+  std::vector<std::pair<int, SimTime>> model_order_;
+  SimTime m_now_ = 0;
+  std::uint64_t m_seq_ = 0;
+  std::uint64_t m_executed_ = 0;
+  int model_next_id_ = 0;
+};
+
+TEST(Scheduler, MatchesReferenceModelOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    WheelVsModel(seed).run(400);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

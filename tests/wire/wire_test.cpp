@@ -45,6 +45,38 @@ TEST(Wire, EmptyIdSetRoundtrip) {
   EXPECT_TRUE(r.ok());
 }
 
+// A set on the wire need not be sorted or duplicate-free (a corrupted or
+// foreign sender): it decodes to the normalized set, inline and spilled
+// sizes alike, and consumes exactly its bytes.
+TEST(Wire, IdSetDecodeNormalizesUnsortedAndDuplicatedIds) {
+  for (const std::vector<NodeId>& ids :
+       {std::vector<NodeId>{9, 2, 2, 7, 9},
+        std::vector<NodeId>{40, 3, 39, 3, 38, 37, 36, 35, 34, 33, 32, 31, 30,
+                            29, 28, 27, 26, 25, 24, 23, 22, 21, 40}}) {
+    Writer w;
+    w.u16(static_cast<std::uint16_t>(ids.size()));
+    for (NodeId id : ids) w.node_id(id);
+    w.u8(0x5A);
+    Reader r(w.data());
+    EXPECT_EQ(r.id_set(), IdSet::from_vector(ids));
+    EXPECT_EQ(r.u8(), 0x5A);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
+// A set whose count promises more ids than the buffer holds fails the
+// reader and yields the empty set.
+TEST(Wire, TruncatedIdSetFails) {
+  Writer w;
+  w.u16(3);
+  w.node_id(1);
+  w.node_id(2);
+  Reader r(w.data());
+  EXPECT_EQ(r.id_set(), IdSet{});
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(Wire, BytesAndStringRoundtrip) {
   Writer w;
   w.bytes(Bytes{1, 2, 3});
@@ -264,6 +296,20 @@ TEST(BufferPool, RecyclesCapacity) {
   EXPECT_TRUE(again.empty());
   EXPECT_GE(again.capacity(), 512u);
   pool.release(std::move(again));
+}
+
+// A refill's spares are new buffers: handing one out is a miss, and only a
+// released buffer counts as reused.
+TEST(BufferPool, RefilledBuffersCountAsMisses) {
+  BufferPool pool;
+  Bytes a = pool.acquire();  // empty freelist: refill, then a spare
+  EXPECT_GE(a.capacity(), BufferPool::kBufferCapacity);
+  pool.release(std::move(a));
+  Bytes b = pool.acquire();  // the released buffer
+  Bytes c = pool.acquire();  // another spare
+  EXPECT_EQ(pool.stats().acquired, 3u);
+  EXPECT_EQ(pool.stats().reused, 1u);
+  EXPECT_EQ(pool.size(), BufferPool::kRefill - 2);
 }
 
 TEST(BufferPool, DropsCapacityLessAndGiantBuffers) {
