@@ -27,6 +27,7 @@ enum class FrameKind : std::uint8_t {
   kAck = 2,       // receiver → sender: acknowledges a label
   kClean = 3,     // sender → receiver: snap-stabilizing cleaning probe
   kCleanAck = 4,  // receiver → sender
+  kReclean = 5,   // receiver → sender: still quarantined, clean again
 };
 
 struct Frame {

@@ -22,7 +22,7 @@ std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
   wire::Reader r(raw);
   Frame f;
   const std::uint8_t kind = r.u8();
-  if (kind < 1 || kind > 4) return std::nullopt;
+  if (kind < 1 || kind > 5) return std::nullopt;
   f.kind = static_cast<FrameKind>(kind);
   f.link_sender = r.node_id();
   f.label = r.u8();
@@ -93,11 +93,15 @@ TokenLink::TokenLink(net::Transport& transport, Rng rng, LinkConfig cfg,
 void TokenLink::start() {
   if (tx_state_ != TxState::kIdle) return;
   down_ = false;
+  begin_cleaning();
+  arm_timer();
+}
+
+void TokenLink::begin_cleaning() {
   tx_state_ = TxState::kCleaning;
   clean_nonce_ = static_cast<std::uint8_t>(rng_.next_below(cfg_.label_domain));
   acks_seen_ = 0;
   transmit_current();
-  arm_timer();
 }
 
 void TokenLink::shutdown() {
@@ -166,7 +170,15 @@ void TokenLink::handle_frame(const Frame& frame) {
         // Paper §3.3: a fresh endpoint must not consume possibly-stale
         // packets before the link is cleaned; the quarantine lifts only
         // after more than the round-trip capacity of cleaning probes.
+        // A running sender may have counted a duplicated clean-ack and
+        // stopped probing one probe short of that, so ask it to clean
+        // again; otherwise it would send data that is discarded forever.
         ++stats_.stale_discarded;
+        Frame reclean;
+        reclean.kind = FrameKind::kReclean;
+        reclean.link_sender = peer_;
+        reclean.label = frame.label;
+        transport_.send(self_, peer_, reclean.encode());
         return;
       }
       Frame ack;
@@ -233,8 +245,23 @@ void TokenLink::handle_frame(const Frame& frame) {
         ++stats_.cleans_completed;
         tx_state_ = TxState::kRunning;
         tx_label_ = static_cast<std::uint8_t>(rng_.next_below(cfg_.label_domain));
-        begin_round();
+        if (tx_payload_.empty()) {
+          begin_round();
+        } else {
+          // A re-clean resends the round the receiver discarded, so the
+          // datagrams composed into it are not lost.
+          acks_seen_ = 0;
+          transmit_current();
+        }
       }
+      return;
+    }
+    case FrameKind::kReclean: {
+      // The receiver discarded our current data unseen: clean again. The
+      // echoed label filters requests that answered an earlier round.
+      if (frame.link_sender != self_ || tx_state_ != TxState::kRunning) return;
+      if (frame.label != tx_label_) return;
+      begin_cleaning();
       return;
     }
   }

@@ -80,6 +80,7 @@ class TokenLink {
   void arm_timer();
   void on_timer();
   void transmit_current();
+  void begin_cleaning();
   void begin_round();
 
   net::Transport& transport_;

@@ -21,21 +21,36 @@ TEST(Frame, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->payload, (wire::Bytes{1, 2, 3}));
 }
 
-TEST(Frame, AckHasNoPayload) {
-  Frame f;
-  f.kind = FrameKind::kAck;
-  f.link_sender = 1;
-  f.label = 2;
-  auto decoded = Frame::decode(f.encode());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->kind, FrameKind::kAck);
-  EXPECT_TRUE(decoded->payload.empty());
+TEST(Frame, ControlKindsHaveNoPayload) {
+  for (FrameKind kind : {FrameKind::kAck, FrameKind::kClean,
+                         FrameKind::kCleanAck, FrameKind::kReclean}) {
+    Frame f;
+    f.kind = kind;
+    f.link_sender = 1;
+    f.label = 2;
+    auto decoded = Frame::decode(f.encode());
+    ASSERT_TRUE(decoded.has_value()) << int(kind);
+    EXPECT_EQ(decoded->kind, kind);
+    EXPECT_EQ(decoded->label, 2);
+    EXPECT_TRUE(decoded->payload.empty());
+  }
 }
 
 TEST(Frame, GarbageRejected) {
   EXPECT_FALSE(Frame::decode(wire::Bytes{}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{0}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{99, 1, 2}).has_value());
+}
+
+TEST(Frame, UnknownKindRejectedEvenWhenSealed) {
+  for (std::uint8_t kind : {0, 6}) {
+    wire::Writer w;
+    w.u8(kind);
+    w.node_id(1);
+    w.u8(2);
+    w.seal();
+    EXPECT_FALSE(Frame::decode(w.take()).has_value()) << int(kind);
+  }
 }
 
 TEST(Bundle, RoundtripMultipleItems) {
@@ -156,6 +171,41 @@ TEST(TokenLink, StrictCleanDiscardsPreCleanData) {
   lp.sched.run_until(20 * kSec);
   for (const auto& d : lp.b_got) EXPECT_NE(d, wire::Bytes{0xEE});
   EXPECT_GT(lp.b->stats().stale_discarded, 0u);
+}
+
+// The sender counts clean-acks and the receiver counts probes against the
+// same threshold, so one clean-ack that the channel duplicates ends cleaning
+// when the receiver has counted only clean_threshold probes and is still
+// quarantined. The receiver must send the sender back to cleaning instead of
+// discarding its data forever (the bootstrap livelock).
+TEST(TokenLink, DuplicatedCleanAckStillDelivers) {
+  auto ch = LinkPair::make_channel();
+  ch.loss_probability = 0.0;
+  ch.duplicate_probability = 0.0;
+  // Every clean-ack returns before the next probe leaves, so the receiver
+  // has counted exactly as many probes as the sender has real acks.
+  ch.min_delay = ch.max_delay = 50 * kUsec;
+  LinkPair lp(ch);
+  bool doubled = false;
+  lp.net.detach(1);
+  lp.transport.attach(1, [&](const net::Packet& p) {
+    auto f = Frame::decode(p.payload);
+    if (!f) return;
+    lp.a->handle_frame(*f);
+    if (f->kind == FrameKind::kCleanAck && !doubled) {
+      doubled = true;
+      lp.a->handle_frame(*f);  // the same clean-ack, delivered twice
+    }
+  });
+  lp.a_outbox.push_back({42});
+  lp.a->start();
+  lp.sched.run_until(5 * kSec);
+  ASSERT_TRUE(doubled);
+  EXPECT_GT(lp.b->stats().stale_discarded, 0u);  // cleaning did end early
+  EXPECT_EQ(lp.a->stats().cleans_completed, 2u);
+  ASSERT_FALSE(lp.b_got.empty());
+  EXPECT_EQ(lp.b_got[0], wire::Bytes{42});
+  EXPECT_GT(lp.a->stats().rounds_completed, 0u);
 }
 
 TEST(TokenLink, SurvivesChannelGarbage) {
