@@ -25,8 +25,7 @@ void BM_StaleFlagTriggers(benchmark::State& state) {
   for (auto _ : state) {
     harness::WorldConfig cfg = world_config(seed++);
     cfg.channel.capacity = cap;
-    cfg.node.mux.link.ack_threshold = 2 * cap + 1;
-    cfg.node.mux.link.clean_threshold = 2 * cap + 1;
+    cfg.node.mux.link = dlink::LinkConfig::for_channel(cfg.channel);
     harness::World w(cfg);
     boot(w, n, state);
     const std::uint64_t before = total_triggers(w);

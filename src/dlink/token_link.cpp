@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/channel.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::dlink {
+
+LinkConfig LinkConfig::for_channel(const net::ChannelConfig& ch) {
+  LinkConfig cfg;
+  const SimTime round_trip = ch.min_delay + ch.max_delay;
+  cfg.retransmit_period =
+      std::max<SimTime>(round_trip / std::max<std::size_t>(ch.capacity, 1), 1);
+  cfg.ack_threshold = 2 * ch.capacity + 1;
+  cfg.clean_threshold = 2 * ch.capacity + 1;
+  return cfg;
+}
 
 wire::Bytes Frame::encode() const {
   wire::Writer w;

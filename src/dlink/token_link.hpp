@@ -8,15 +8,28 @@
 #include "net/transport.hpp"
 #include "util/rng.hpp"
 
+namespace ssr::net {
+struct ChannelConfig;
+}
+
 namespace ssr::dlink {
 
 struct LinkConfig {
-  /// Pacing of retransmissions of the current frame / cleaning probe.
+  /// Pacing of retransmissions of the current frame / cleaning probe (plus
+  /// up to a quarter of it in jitter). The paper needs only that every
+  /// packet is sent infinitely often, so the rate is a free choice;
+  /// for_channel() sets one copy per (min_delay + max_delay) / capacity.
+  /// A directed channel carries this link's copies and the reverse link's
+  /// acks, about one ack per copy, and each stays in flight for the mean
+  /// one-way delay (min_delay + max_delay) / 2; at this period the mean
+  /// load equals the capacity. A faster rate only overflows the channel
+  /// (400 µs puts the default fabric about 1.5× over), and a slower one
+  /// stretches every round. This default serves owners without a channel
+  /// model; transports over real sockets set their own.
   SimTime retransmit_period = 400 * kUsec;
   /// How many acknowledgments carrying the current label complete a round.
   /// The paper requires "more than the total (round-trip) capacity", i.e.
-  /// 2·cap + 1 for symmetric channels; configured by the owner from the
-  /// channel capacity.
+  /// 2·cap + 1 for symmetric channels (for_channel()).
   std::size_t ack_threshold = 7;
   /// Cleaning completes after more than the round-trip capacity of matching
   /// clean-acks (paper, Section 2, snap-stabilizing data link of [15]).
@@ -28,6 +41,11 @@ struct LinkConfig {
   /// probe has been observed (joining processors must not consume stale
   /// packets — paper, Section 3.3).
   bool strict_clean = true;
+
+  /// The link timing a bounded channel implies: the retransmit period and
+  /// both thresholds derived as described above; every other field keeps
+  /// its default.
+  static LinkConfig for_channel(const net::ChannelConfig& ch);
 };
 
 /// Both directed data links between `self` and one `peer`:

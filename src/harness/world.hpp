@@ -21,11 +21,11 @@ struct WorldConfig {
   node::NodeConfig node;
 
   WorldConfig() {
-    // The data-link thresholds follow the channel capacity ("more than the
-    // total round-trip capacity" — paper, Section 2).
+    // The data-link timing follows the channel: thresholds of "more than
+    // the total round-trip capacity" (paper, Section 2) and a retransmit
+    // period that keeps each channel's mean load at its capacity.
     channel.capacity = 3;
-    node.mux.link.ack_threshold = 2 * channel.capacity + 1;
-    node.mux.link.clean_threshold = 2 * channel.capacity + 1;
+    node.mux.link = dlink::LinkConfig::for_channel(channel);
   }
 };
 

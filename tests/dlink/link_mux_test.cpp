@@ -15,8 +15,7 @@ struct MuxPair {
   std::unique_ptr<LinkMux> a, b;
 
   MuxPair() : net(sched, Rng(31), channel_config()), transport(net) {
-    cfg.link.ack_threshold = 2 * channel_config().capacity + 1;
-    cfg.link.clean_threshold = 2 * channel_config().capacity + 1;
+    cfg.link = LinkConfig::for_channel(channel_config());
     a = std::make_unique<LinkMux>(transport, 1, cfg, Rng(41));
     b = std::make_unique<LinkMux>(transport, 2, cfg, Rng(42));
     transport.attach(1, [this](const net::Packet& p) { a->handle_packet(p); });

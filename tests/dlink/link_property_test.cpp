@@ -28,8 +28,7 @@ TEST_P(LinkProperty, InOrderGapFreeDelivery) {
   net::Network net(sched, Rng(param.seed), ch);
   net::SimTransport transport(net);
   MuxConfig cfg;
-  cfg.link.ack_threshold = 2 * param.capacity + 1;
-  cfg.link.clean_threshold = 2 * param.capacity + 1;
+  cfg.link = LinkConfig::for_channel(ch);
   cfg.datagram_queue_capacity = 64;
   LinkMux a(transport, 1, cfg, Rng(param.seed + 1));
   LinkMux b(transport, 2, cfg, Rng(param.seed + 2));

@@ -84,10 +84,10 @@ struct LinkPair {
   int a_beats = 0, b_beats = 0;
   std::unique_ptr<TokenLink> a, b;
 
-  explicit LinkPair(net::ChannelConfig ch = make_channel(), LinkConfig lc = {})
+  explicit LinkPair(net::ChannelConfig ch = make_channel())
+      : LinkPair(ch, LinkConfig::for_channel(ch)) {}
+  LinkPair(net::ChannelConfig ch, LinkConfig lc)
       : net(sched, Rng(7), ch), transport(net), cfg(lc) {
-    cfg.ack_threshold = 2 * ch.capacity + 1;
-    cfg.clean_threshold = 2 * ch.capacity + 1;
     a = std::make_unique<TokenLink>(
         transport, Rng(1), cfg, 1, 2, [this] { return pop(a_outbox); },
         [this](const wire::Bytes& d) { a_got_push(d); }, [this] { ++a_beats; });
@@ -185,7 +185,9 @@ TEST(TokenLink, DuplicatedCleanAckStillDelivers) {
   // Every clean-ack returns before the next probe leaves, so the receiver
   // has counted exactly as many probes as the sender has real acks.
   ch.min_delay = ch.max_delay = 50 * kUsec;
-  LinkPair lp(ch);
+  LinkConfig lc = LinkConfig::for_channel(ch);
+  lc.retransmit_period = 400 * kUsec;  // well above the 100 µs round trip
+  LinkPair lp(ch, lc);
   bool doubled = false;
   lp.net.detach(1);
   lp.transport.attach(1, [&](const net::Packet& p) {

@@ -61,6 +61,13 @@ using namespace ssr;
 /// Token-link pacing over real sockets: the retransmit period and the ack
 /// threshold, which trades round (heartbeat) rate against duplicate
 /// tolerance since real sockets have no fixed channel capacity.
+///
+/// Simulated links send one copy per round trip / capacity
+/// (dlink::LinkConfig::for_channel), so a channel's mean load stays at its
+/// capacity. A threshold of 3 = 2·1 + 1 treats the socket as a capacity-1
+/// channel, for which that rule allows one copy per round trip. A localhost
+/// round trip takes tens of microseconds, so 2 ms already sends far more
+/// slowly than the rule allows and needs no derivation.
 constexpr SimTime kRetransmitPeriod = 2000 * kUsec;
 constexpr std::size_t kAckThreshold = 3;
 
