@@ -23,9 +23,9 @@ struct LinkConfig {
   /// acks, about one ack per copy, and each stays in flight for the mean
   /// one-way delay (min_delay + max_delay) / 2; at this period the mean
   /// load equals the capacity. A faster rate only overflows the channel
-  /// (400 µs puts the default fabric about 1.5× over), and a slower one
-  /// stretches every round. This default serves owners without a channel
-  /// model; transports over real sockets set their own.
+  /// (400 µs, the default below, puts the default simulated fabric about
+  /// 1.5× over), and a slower one stretches every round. Owners without a
+  /// channel model, such as ssr_node on real sockets, set their own.
   SimTime retransmit_period = 400 * kUsec;
   /// How many acknowledgments carrying the current label complete a round.
   /// The paper requires "more than the total (round-trip) capacity", i.e.
@@ -54,7 +54,9 @@ struct LinkConfig {
 ///    matching acknowledgments arrive — this completes a token round trip,
 ///    which doubles as the heartbeat of the (N,Θ) failure detector;
 ///  * the *receiver side* of link (peer → self): delivers each fresh label
-///    once and acknowledges every data packet (acks are never spontaneous).
+///    once and acknowledges every data packet (acks are never spontaneous);
+///    until its cleaning quarantine lifts, it answers data with kReclean,
+///    which sends the sender back to cleaning.
 class TokenLink {
  public:
   /// Called when the sender side may compose the next frame payload.

@@ -40,9 +40,7 @@ TEST(Frame, GarbageRejected) {
   EXPECT_FALSE(Frame::decode(wire::Bytes{}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{0}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{99, 1, 2}).has_value());
-}
-
-TEST(Frame, UnknownKindRejectedEvenWhenSealed) {
+  // Unknown kinds are rejected even when correctly sealed.
   for (std::uint8_t kind : {0, 6}) {
     wire::Writer w;
     w.u8(kind);
