@@ -4,13 +4,17 @@
     python3 tools/bench_pins.py            # compare against BENCH_pins.json
     python3 tools/bench_pins.py --update   # rewrite BENCH_pins.json
 
-Runs `bench/ssr_bench/run.py --workload W --seed 1 --seconds 2 --trace 0` for
-each simulator workload and compares the numbers that are pure functions of
-(workload, seed) exactly: virtual convergence time, virtual latencies,
-packets per node-second and the attempted/failed counts. Wall-clock metrics
-(setup_s, cpu_ms_per_node_s, peak_rss_mb) vary from run to run and are not
-compared. A change that moves a pinned count on purpose re-pins with
---update in its own commit and says which rule changed.
+Runs `bench/ssr_bench/run.py --workload W --seed 1 --seconds 2` for each
+simulator workload, once with `--trace 0` and once with `--trace 1`, and
+compares the numbers that are pure functions of (workload, seed) exactly:
+from the untraced run, virtual convergence time, virtual latencies, packets
+per node-second and the attempted/failed counts; from the traced run, the
+per-layer counts of scheduler events and delivered packets per node-second,
+bytes per packet and token-link rounds per link-second. Wall-clock metrics
+(setup_s, cpu_ms_per_node_s, peak_rss_mb, every *_ns and *_share) vary from
+run to run and are not compared; neither is wire.allocs_per_event, which
+counts the bench's own allocations. A change that moves a pinned count on
+purpose re-pins with --update in its own commit and says which rule changed.
 
 Exits 0 when every count matches, 1 on any mismatch or failed run.
 """
@@ -31,12 +35,15 @@ SECONDS = 2
 METRICS = ["converge_ms", "latency_p50_ms", "latency_tail_ms",
            "pkts_per_node_s"]
 COUNTS = ["attempted", "failed"]
+TRACED_METRICS = ["sim.events_per_node_s", "net.pkts_delivered_per_node_s",
+                  "wire.bytes_per_pkt", "dlink.rounds_per_link_s"]
 
 
-def measure(workload):
-    """The pinned fields of one workload run, or None when the run failed."""
+def run(workload, trace):
+    """The result object of one workload run, or None when the run failed."""
     cmd = [sys.executable, str(RUN_PY), "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SECONDS),
+           "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -44,10 +51,23 @@ def measure(workload):
     except json.JSONDecodeError:
         res = None
     if proc.returncode != 0 or res is None or not res.get("correct"):
-        print(f"{workload}: run failed (exit {proc.returncode})", flush=True)
+        traced = " traced" if trace else ""
+        print(f"{workload}{traced}: run failed (exit {proc.returncode})",
+              flush=True)
         return None
-    pins = {name: res["metrics"][name]["value"] for name in METRICS}
-    pins.update({name: res[name] for name in COUNTS})
+    return res
+
+
+def measure(workload):
+    """The pinned fields of one workload, or None when a run failed."""
+    plain = run(workload, trace=False)
+    traced = run(workload, trace=True) if plain else None
+    if traced is None:
+        return None
+    pins = {name: plain["metrics"][name]["value"] for name in METRICS}
+    pins.update({name: plain[name] for name in COUNTS})
+    pins.update({name: traced["metrics"][name]["value"]
+                 for name in TRACED_METRICS})
     return pins
 
 
@@ -73,7 +93,7 @@ def main():
     ok = True
     for workload in WORKLOADS:
         want = pinned.get(workload, {})
-        for name in METRICS + COUNTS:
+        for name in METRICS + COUNTS + TRACED_METRICS:
             have = got[workload][name]
             if want.get(name) == have:
                 print(f"{workload} {name} {have} ok")
