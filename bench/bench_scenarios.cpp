@@ -13,13 +13,10 @@
 // envelopes): Arg(0) grows the buffer per field, Arg(1) reserves once.
 #include <benchmark/benchmark.h>
 
-#include <time.h>
-
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dlink/token_link.hpp"
@@ -33,8 +30,6 @@
 // and BM_TraceRecordAlloc sample util::allocations() around their warmed
 // loops to assert the hot paths perform zero heap allocations.
 #include "util/alloc_counter.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 #if defined(__linux__)
 #include <signal.h>
@@ -135,18 +130,6 @@ void run_named(benchmark::State& state, const char* name) {
   }
 }
 
-struct ShardedAgg {
-  int iterations = 0;
-  double wall_ms = 0;
-  double agg_events = 0;   // scheduler events summed over every shard
-  double max_cpu_sec = 0;  // slowest shard's thread CPU time, summed per iter
-};
-
-std::map<int, ShardedAgg>& sharded_metrics() {
-  static std::map<int, ShardedAgg> m;
-  return m;
-}
-
 struct SweepAgg {
   int iterations = 0;
   double wall_ms = 0;
@@ -205,32 +188,6 @@ void write_json(const char* path) {
     first = false;
   }
   std::fprintf(f, "\n  ]");
-  if (!sharded_metrics().empty()) {
-    // Aggregate capacity normalized by the slowest shard's CPU time (see
-    // BM_ShardedThroughput); speedup_vs_1shard is the headline shared-
-    // nothing scaling number the CI bench diff watches.
-    double base = 0;
-    if (auto it = sharded_metrics().find(1);
-        it != sharded_metrics().end() && it->second.max_cpu_sec > 0) {
-      base = it->second.agg_events / it->second.max_cpu_sec;
-    }
-    std::fprintf(f, ",\n  \"sharded_throughput\": [\n");
-    bool first = true;
-    for (const auto& [shards, a] : sharded_metrics()) {
-      if (a.iterations == 0 || a.max_cpu_sec <= 0) continue;
-      const double per_cpu = a.agg_events / a.max_cpu_sec;
-      std::fprintf(f,
-                   "%s    {\"shards\": %d, \"iterations\": %d, "
-                   "\"wall_ms\": %.3f, \"agg_sched_events\": %.1f, "
-                   "\"agg_events_per_cpu_sec\": %.1f, "
-                   "\"speedup_vs_1shard\": %.3f}",
-                   first ? "" : ",\n", shards, a.iterations,
-                   a.wall_ms / a.iterations, a.agg_events / a.iterations,
-                   per_cpu, base > 0 ? per_cpu / base : 0);
-      first = false;
-    }
-    std::fprintf(f, "\n  ]");
-  }
   if (!sweep_metrics().empty()) {
     // Parallel sweep engine (see BM_SweepThroughput): aggregate scheduler
     // events normalized by the slowest worker's CPU seconds, so the scaling
@@ -318,117 +275,15 @@ BENCHMARK(BM_ScenarioPartitionHeal)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// --- Sharded throughput -----------------------------------------------------
-
-double thread_cpu_sec() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// K shards, one thread per shard, each running an identical
-/// converge-then-increment script in its own fully independent World. The
-/// sharded service shares nothing across shards — no lock, no common
-/// scheduler, thread-local buffer pools — so aggregate capacity should
-/// scale with the number of cores you give it.
-///
-/// This host may have a single core, so the headline metric is CPU-time
-/// normalized: aggregate scheduler events divided by the *slowest* shard's
-/// thread CPU seconds. That is the events/sec a K-core deployment would
-/// sustain (each shard pinned to a core and gated by the slowest one) —
-/// a capacity-per-core projection, not a wall-clock measurement; wall time
-/// on an N-core host is reported separately and scales only up to N.
-void BM_ShardedThroughput(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  scenario::ScenarioSpec spec;
-  spec.name = "sharded-throughput";
-  spec.initial_nodes = 3;
-  spec.phases = {
-      {"load",
-       {scenario::Action::await_converged(90 * kSec),
-        scenario::Action::increment_burst(16),
-        scenario::Action::run_for(10 * kSec)}}};
-  ShardedAgg local;
-  std::uint64_t seed = 4200;
-  // Harvest shared across the shard threads; the mutex (and clang's
-  // -Wthread-safety on the SSR_GUARDED_BY field) enforces the discipline
-  // that the TSan job verifies dynamically.
-  struct ShardOutcome {
-    double cpu_sec = 0;
-    double events = 0;
-    bool ok = false;
-  };
-  util::Mutex harvest_mu;
-  std::vector<ShardOutcome> harvest SSR_GUARDED_BY(harvest_mu);
-  for (auto _ : state) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    {
-      util::MutexLock lock(harvest_mu);
-      harvest.clear();
-      harvest.reserve(static_cast<std::size_t>(shards));
-    }
-    const std::uint64_t base_seed = seed++;
-    threads.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s] {
-        const double c0 = thread_cpu_sec();
-        const scenario::ScenarioResult r = scenario::run_scenario(
-            spec, base_seed + 0x9E3779B97F4A7C15ULL *
-                                  static_cast<std::uint64_t>(s + 1));
-        ShardOutcome out;
-        out.cpu_sec = thread_cpu_sec() - c0;
-        out.events = static_cast<double>(r.sched_events);
-        out.ok = r.ok;
-        util::MutexLock lock(harvest_mu);
-        harvest.push_back(out);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    util::MutexLock lock(harvest_mu);
-    for (const ShardOutcome& out : harvest) {
-      if (!out.ok) {
-        state.SkipWithError("a shard's scenario failed");
-        return;
-      }
-    }
-    ++local.iterations;
-    local.wall_ms += std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-    double iter_events = 0, iter_max_cpu = 0;
-    for (const ShardOutcome& out : harvest) {
-      iter_events += out.events;
-      iter_max_cpu = std::max(iter_max_cpu, out.cpu_sec);
-    }
-    local.agg_events += iter_events;
-    local.max_cpu_sec += iter_max_cpu;
-  }
-  ShardedAgg& agg = sharded_metrics()[shards];
-  agg.iterations += local.iterations;
-  agg.wall_ms += local.wall_ms;
-  agg.agg_events += local.agg_events;
-  agg.max_cpu_sec += local.max_cpu_sec;
-  state.counters["agg_events_per_cpu_sec"] = benchmark::Counter(
-      local.max_cpu_sec > 0 ? local.agg_events / local.max_cpu_sec : 0);
-}
-BENCHMARK(BM_ShardedThroughput)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Iterations(2);
-
 // --- Parallel sweep throughput ----------------------------------------------
 
 /// The sweep engine over one scenario × 16 seeds at Arg(0) worker threads.
 /// Jobs are fully independent worlds, so aggregate capacity should scale
-/// with cores; like BM_ShardedThroughput, the headline metric is CPU-time
-/// normalized — aggregate scheduler events divided by the *slowest*
-/// worker's thread CPU seconds (SweepSummary::max_worker_cpu_sec) — which
-/// projects the events/sec an N-core host would sustain even when this
-/// host has a single timesliced core. write_json derives speedup_vs_1job
+/// with cores; the headline metric is CPU-time normalized — aggregate
+/// scheduler events divided by the *slowest* worker's thread CPU seconds
+/// (SweepSummary::max_worker_cpu_sec) — which projects the events/sec an
+/// N-core host would sustain even when this host has a single timesliced
+/// core. write_json derives speedup_vs_1job
 /// from it; bench_compare.py --check-sweep-scaling holds the ≥2.0x floor
 /// at 4 jobs.
 void BM_SweepThroughput(benchmark::State& state) {

@@ -4,13 +4,12 @@
 
 namespace ssr::net {
 
-wire::Bytes Session::encode_envelope(std::uint32_t shard, NodeId src,
-                                     NodeId dst, const wire::Bytes& payload) {
+wire::Bytes Session::encode_envelope(NodeId src, NodeId dst,
+                                     const wire::Bytes& payload) {
   wire::Writer w;
-  w.reserve(4 + 1 + 4 + 4 + 4 + 4 + payload.size());
+  w.reserve(kHeaderBytes + payload.size());
   w.u32(kMagic);
   w.u8(kVersion);
-  w.u32(shard);
   w.node_id(src);
   w.node_id(dst);
   w.bytes(payload);
@@ -18,13 +17,11 @@ wire::Bytes Session::encode_envelope(std::uint32_t shard, NodeId src,
 }
 
 std::optional<Packet> Session::decode_envelope(const std::uint8_t* data,
-                                               std::size_t len,
-                                               std::uint32_t* shard_out) {
+                                               std::size_t len) {
   // Parsed by hand over the receive buffer: going through wire::Reader
   // would copy the whole datagram once for the Reader and once more for
   // the payload slice — on the hot receive path the payload copy is the
   // only one allowed.
-  constexpr std::size_t kHeader = 4 + 1 + 4 + 4 + 4 + 4;
   const auto rd_u32 = [data](std::size_t off) {
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i) {
@@ -32,34 +29,26 @@ std::optional<Packet> Session::decode_envelope(const std::uint8_t* data,
     }
     return v;
   };
-  if (len < kHeader) return std::nullopt;
+  if (len < kHeaderBytes) return std::nullopt;
   if (rd_u32(0) != kMagic) return std::nullopt;
   if (data[4] != kVersion) return std::nullopt;
   Packet pkt;
-  if (shard_out != nullptr) *shard_out = rd_u32(5);
-  pkt.src = rd_u32(9);
-  pkt.dst = rd_u32(13);
+  pkt.src = rd_u32(5);
+  pkt.dst = rd_u32(9);
   // Strict framing: the length prefix must name exactly the bytes present
   // (truncated or padded datagrams are corruption, not messages).
-  if (rd_u32(17) != len - kHeader) return std::nullopt;
+  if (rd_u32(13) != len - kHeaderBytes) return std::nullopt;
   pkt.payload = wire::BufferPool::local().acquire();
   // ssr-lint: allow(hot-path-alloc): pooled buffer keeps capacity on reuse.
-  pkt.payload.assign(data + kHeader, data + len);
+  pkt.payload.assign(data + kHeaderBytes, data + len);
   return pkt;
 }
 
-Session::Verdict Session::admit(const std::uint8_t* data, std::size_t len,
-                                const std::uint8_t* from,
-                                std::size_t from_len, Packet* out) {
-  std::uint32_t shard = 0;
-  auto pkt = decode_envelope(data, len, &shard);
-  if (!pkt) return Verdict::kMalformed;
-  if (shard != cfg_.shard) {
-    // A foreign shard's datagram: well-formed, but it must never feed this
-    // fleet's quorums (and its source must not be learned).
-    wire::BufferPool::local().release(std::move(pkt->payload));
-    return Verdict::kWrongShard;
-  }
+bool Session::admit(const std::uint8_t* data, std::size_t len,
+                    const std::uint8_t* from, std::size_t from_len,
+                    Packet* out) {
+  auto pkt = decode_envelope(data, len);
+  if (!pkt) return false;
   if (cfg_.learn_peers && pkt->src != cfg_.self && from != nullptr &&
       from_len > 0) {
     // A well-formed envelope vouches for its source id; remember where it
@@ -74,7 +63,7 @@ Session::Verdict Session::admit(const std::uint8_t* data, std::size_t len,
     }
   }
   *out = std::move(*pkt);
-  return Verdict::kAccept;
+  return true;
 }
 
 void Session::set_route(NodeId id, Address addr) {

@@ -14,17 +14,15 @@ namespace ssr::net {
 struct SessionConfig {
   /// The node this session serves; its own id is never learned as a peer.
   NodeId self = kNoNode;
-  /// Shard stamped into every outgoing envelope and checked on receive.
-  std::uint32_t shard = 0;
   /// Learn/refresh peer addresses from the source address of well-formed
-  /// same-shard datagrams (see UdpTransportConfig.learn_peers).
+  /// datagrams (see UdpTransportConfig.learn_peers).
   bool learn_peers = true;
 };
 
-/// Transport-agnostic SSRU session layer: the envelope codec, version
-/// check, shard filter and peer-address learning that PR 5/6 grew inside
-/// `UdpTransport`, extracted so a batched UDP backend is pure syscall
-/// plumbing and a future TCP backend reuses the identical logic.
+/// Transport-agnostic SSRU session layer: the envelope codec, version check
+/// and peer-address learning, kept out of `UdpTransport` so a batched UDP
+/// backend is pure syscall plumbing and another transport can reuse the
+/// identical logic.
 ///
 /// The session knows nothing about sockets. Peer addresses are opaque byte
 /// blobs the owning transport resolves and interprets (a `sockaddr_in` for
@@ -40,46 +38,33 @@ class Session {
   const SessionConfig& config() const { return cfg_; }
 
   // -- Envelope codec --------------------------------------------------------
-  // v3 layout: magic u32 | version u8 | shard u32 | src u32 | dst u32 |
-  // payload-length u32 | payload. Older versions are not accepted: a
-  // cohort is always deployed as one build, and rejecting the old version
-  // outright keeps the strict-framing property (every accepted datagram
-  // has exactly one valid reading). v1 had no shard field; v2 has the v3
-  // envelope but seals its inner token-link frames with FNV-1a instead of
-  // CRC-32C, so a v2 datagram would pass here and then fail every frame
-  // seal silently — the version check counts it as malformed instead.
+  // v4 layout: magic u32 | version u8 | src u32 | dst u32 |
+  // payload-length u32 | payload — a 17-byte header. Older versions are not
+  // accepted: a cohort is always deployed as one build, and rejecting the
+  // old version outright keeps the strict-framing property (every accepted
+  // datagram has exactly one valid reading). v3 carried one more u32, a
+  // fleet tag, after the version byte; v2 had the v3 layout but sealed its
+  // inner token-link frames with FNV-1a instead of CRC-32C. The version
+  // check counts every older datagram as malformed.
   static constexpr std::uint32_t kMagic = 0x55525353;  // "SSRU" little-endian
-  static constexpr std::uint8_t kVersion = 3;
-  static wire::Bytes encode_envelope(std::uint32_t shard, NodeId src,
-                                     NodeId dst, const wire::Bytes& payload);
-  /// On success `*shard_out` (when non-null) receives the envelope's shard
-  /// tag; shard filtering is the receive path's job, not the codec's.
+  static constexpr std::uint8_t kVersion = 4;
+  static constexpr std::size_t kHeaderBytes = 4 + 1 + 4 + 4 + 4;
+  static wire::Bytes encode_envelope(NodeId src, NodeId dst,
+                                     const wire::Bytes& payload);
   static std::optional<Packet> decode_envelope(const std::uint8_t* data,
-                                               std::size_t len,
-                                               std::uint32_t* shard_out =
-                                                   nullptr);
-
-  /// Seals `payload` into an envelope stamped with this session's shard.
-  wire::Bytes seal(NodeId src, NodeId dst, const wire::Bytes& payload) const {
-    return encode_envelope(cfg_.shard, src, dst, payload);
-  }
+                                               std::size_t len);
 
   // -- Inbound classification ------------------------------------------------
-  enum class Verdict {
-    kAccept,      // *out holds a valid same-shard packet (pooled payload)
-    kMalformed,   // bad magic/version/framing — count and drop
-    kWrongShard,  // well-formed, foreign shard tag — count and drop
-  };
-
-  /// Classifies one inbound datagram. On kAccept, fills `*out` (the payload
-  /// buffer comes from the thread's wire::BufferPool — the caller owns it)
-  /// and applies the peer-learning policy: a well-formed envelope vouches
-  /// for its source id, so `from` (when non-empty and not self) refreshes
-  /// the route to `out->src`. A foreign shard's source is never learned —
-  /// the same node id legitimately exists in every shard. Pass an empty
-  /// `from` when the transport has no usable source address.
-  Verdict admit(const std::uint8_t* data, std::size_t len,
-                const std::uint8_t* from, std::size_t from_len, Packet* out);
+  /// Admits one inbound datagram: true when it is a well-formed envelope,
+  /// false when it is malformed (bad magic/version/framing — count and
+  /// drop). On acceptance, fills `*out` (the payload buffer comes from the
+  /// thread's wire::BufferPool — the caller owns it) and applies the
+  /// peer-learning policy: a well-formed envelope vouches for its source
+  /// id, so `from` (when non-empty and not self) refreshes the route to
+  /// `out->src`. Pass an empty `from` when the transport has no usable
+  /// source address.
+  bool admit(const std::uint8_t* data, std::size_t len,
+             const std::uint8_t* from, std::size_t from_len, Packet* out);
 
   // -- Address book ----------------------------------------------------------
   void set_route(NodeId id, Address addr);

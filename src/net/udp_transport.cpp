@@ -44,7 +44,7 @@ int real_recvmmsg(int fd, mmsghdr* msgs, unsigned n, int flags,
 
 UdpTransport::UdpTransport(UdpTransportConfig cfg)
     : cfg_(std::move(cfg)),
-      session_(SessionConfig{cfg_.self, cfg_.shard, cfg_.learn_peers}),
+      session_(SessionConfig{cfg_.self, cfg_.learn_peers}),
       sendmmsg_fn_(&real_sendmmsg),
       recvmmsg_fn_(&real_recvmmsg) {
   SSR_ASSERT(cfg_.peers.count(cfg_.self) != 0,
@@ -139,7 +139,7 @@ void UdpTransport::send(NodeId src, NodeId dst, wire::Bytes payload) {
   // rebound before the flush), the sealed datagram buffer is owned by the
   // ring until the flush releases it.
   std::memcpy(&tx_addrs_[tx_count_], route->data(), sizeof(sockaddr_in));
-  tx_bufs_[tx_count_] = session_.seal(src, dst, payload);
+  tx_bufs_[tx_count_] = Session::encode_envelope(src, dst, payload);
   ++tx_count_;
   wire::BufferPool::local().release(std::move(payload));
   if (tx_count_ == tx_bufs_.size()) flush();
@@ -305,18 +305,12 @@ void UdpTransport::process_datagram(const std::uint8_t* data, std::size_t len,
                                     socklen_t from_len) {
   const bool addr_ok = from_len == sizeof(sockaddr_in);
   Packet pkt;
-  switch (session_.admit(
-      data, len,
-      addr_ok ? reinterpret_cast<const std::uint8_t*>(&from) : nullptr,
-      addr_ok ? sizeof(from) : 0, &pkt)) {
-    case Session::Verdict::kMalformed:
-      ++stats_.dropped_malformed;
-      return;
-    case Session::Verdict::kWrongShard:
-      ++stats_.dropped_wrong_shard;
-      return;
-    case Session::Verdict::kAccept:
-      break;
+  if (!session_.admit(
+          data, len,
+          addr_ok ? reinterpret_cast<const std::uint8_t*>(&from) : nullptr,
+          addr_ok ? sizeof(from) : 0, &pkt)) {
+    ++stats_.dropped_malformed;
+    return;
   }
   if (blocked_.contains(pkt.src)) {
     ++stats_.filtered_in;

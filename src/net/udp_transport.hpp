@@ -37,12 +37,6 @@ struct UdpTransportConfig {
   /// other from any one seed direction, and re-resolves a peer that
   /// respawned on a new port — no static address book maintenance.
   bool learn_peers = true;
-  /// Shard this transport belongs to. Stamped into every outgoing envelope
-  /// and checked on receive: a datagram tagged with a different shard is
-  /// counted and dropped before it reaches any handler, so disjoint shard
-  /// fleets sharing one host (or one misrouted address book entry) can
-  /// never leak protocol traffic into each other's quorums.
-  std::uint32_t shard = 0;
   /// Syscall batching factor (clamped to [1, kMaxBatch]). Sends are staged
   /// into a `batch`-deep mmsghdr ring flushed with one sendmmsg — on ring
   /// full, on Transport::flush() at tick boundaries, and before any poll
@@ -59,7 +53,7 @@ struct UdpTransportConfig {
 /// into a fixed mmsghdr/iovec ring and flushed with a single sendmmsg (the
 /// token-link layer fans a frame to every peer each tick, so one protocol
 /// tick is one syscall, not one per peer); the receive side drains several
-/// datagrams per recvmmsg. Envelope framing, version/shard checks and
+/// datagrams per recvmmsg. Envelope framing, version checks and
 /// peer-address learning live in the transport-agnostic net::Session — this
 /// class is pure syscall plumbing.
 ///
@@ -128,7 +122,6 @@ class UdpTransport final : public Transport {
     std::uint64_t received = 0;
     std::uint64_t recv_errors = 0;        // real recvmmsg errors (not EAGAIN)
     std::uint64_t dropped_malformed = 0;  // bad magic/version/encoding
-    std::uint64_t dropped_wrong_shard = 0;  // well-formed, foreign shard tag
     std::uint64_t dropped_unattached = 0;  // well-formed, but no such node
     std::uint64_t filtered_out = 0;  // sends suppressed by the peer filter
     std::uint64_t filtered_in = 0;   // receives dropped by the peer filter

@@ -9,7 +9,6 @@
 #include "scenario/invariants.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
-#include "shard/router.hpp"
 #include "util/histogram.hpp"
 #include "util/types.hpp"
 
@@ -61,24 +60,10 @@ struct ScenarioResult {
   /// job; syscalls well below packets_sent+packets_delivered is the win.
   std::uint64_t net_syscalls = 0;
   std::uint64_t net_batched = 0;
-  /// The keyed workload's cross-fleet isolation ledger (keyed_increments):
-  /// ops attempted, given-up ops split by whether their fleet was stalled
-  /// (every alive node paused) when they gave up, and ops re-routed by a
-  /// grow_map epoch change. An abort on a healthy fleet fails the run.
-  std::uint64_t ops_attempted = 0;
-  std::uint64_t ops_aborted_faulted = 0;
-  std::uint64_t ops_aborted_healthy = 0;
-  std::uint64_t ops_redirected = 0;
   std::vector<InvariantRegistry::Violation> violations;
-  /// One result per fleet when the spec has shards > 1, empty otherwise.
-  /// The fields above then aggregate them: counts add up, histograms
-  /// merge, the trace hashes chain, violations carry their fleet's name.
-  std::vector<ScenarioResult> fleets;
 
-  /// One line per run, then its violations, then one line per fleet.
+  /// One line for the run, then one per violation.
   std::string summary() const;
-  /// Folds `fleets` into the aggregate fields (shards > 1).
-  void fold_fleets();
 };
 
 /// One transient fault in one node's state, as the interpreter resolved it
@@ -98,15 +83,14 @@ struct StateFault {
 };
 
 /// The scenario interpreter: applies every ScenarioSpec action once, over
-/// per-fleet primitives that a fabric supplies. Two fabrics exist:
+/// primitives that a fabric supplies. Two fabrics exist:
 ///  * ScenarioRunner  — the deterministic in-process simulator;
 ///  * ProcessRunner   — one real ssr_node OS process per node on localhost
 ///    UDP, with faults injected through OS primitives (signals, dropped
 ///    datagrams) and a control socket.
 /// Every decision about what an action means lives here: which actions
 /// close a closure window, that a reboot is a crash plus a fresh id, which
-/// fleets an await spans, which ids a state fault draws from, how the keyed
-/// workload routes. A fabric only does what it is told to one fleet, so a
+/// ids a state fault draws from. A fabric only does what it is told, so a
 /// new ActionKind needs one case in apply() and, at most, a new primitive.
 class ScenarioBackend {
  public:
@@ -116,16 +100,16 @@ class ScenarioBackend {
 
   /// bootstrap(), every phase through step(), then finish(). Call once.
   ScenarioResult run();
-  /// Applies one action, recording it in every fleet's trace first. No-op
-  /// once the run failed.
+  /// Applies one action, recording it in the trace first. No-op once the
+  /// run failed.
   void step(const Action& a);
   /// Final harvest, invariant evaluation and result assembly; call once,
   /// after the last step.
   ScenarioResult finish();
 
-  /// Fleet 0's trace and registry (the only ones of a one-fleet spec).
-  TraceRecorder& trace() { return fleet_trace(0); }
-  InvariantRegistry& invariants() { return fleet_registry(0); }
+  /// The run's trace and invariant registry, owned by the fabric.
+  virtual TraceRecorder& trace() = 0;
+  virtual InvariantRegistry& invariants() = 0;
 
   /// An await missed its budget, or an action could not be applied.
   bool failed() const { return failed_; }
@@ -136,107 +120,77 @@ class ScenarioBackend {
   ScenarioBackend(ScenarioSpec spec, std::uint64_t seed);
 
   const ScenarioSpec& spec() const { return spec_; }
-  /// "<spec>/shard<s>" with more than one fleet, else the spec's name.
-  std::string fleet_name(std::uint32_t s) const;
   /// The await_converged condition over the fabric's current snapshots:
-  /// every fleet agrees on one configuration; with more than one fleet, a
-  /// stalled fleet is skipped.
+  /// every alive node agrees on one configuration.
   bool converged();
   /// Records the run's first failure; later ones are dropped.
   void fail(std::string what);
 
-  // -- Fabric primitives: one fleet s at a time, no decisions -----------------
+  // -- Fabric primitives: no decisions ----------------------------------------
 
-  virtual TraceRecorder& fleet_trace(std::uint32_t s) = 0;
-  virtual InvariantRegistry& fleet_registry(std::uint32_t s) = 0;
-  /// Boots every fleet's initial cohort, ids 1..initial_nodes; false (with
-  /// the failure recorded) when a node did not start.
+  /// Boots the initial cohort, ids 1..initial_nodes; false (with the
+  /// failure recorded) when a node did not start.
   virtual bool bootstrap() = 0;
-  /// Starts a fresh node `id` (never used before in fleet s).
-  virtual void spawn(std::uint32_t s, NodeId id) = 0;
-  virtual void crash(std::uint32_t s, NodeId id) = 0;
+  /// Starts a fresh node `id` (never used before).
+  virtual void spawn(NodeId id) = 0;
+  virtual void crash(NodeId id) = 0;
   /// Freezes one node: to its peers it is unreachable until resume().
-  virtual void pause(std::uint32_t s, NodeId id) = 0;
-  virtual void resume(std::uint32_t s, NodeId id) = 0;
+  virtual void pause(NodeId id) = 0;
+  virtual void resume(NodeId id) = 0;
   /// Blocks traffic between `a` and `b` until heal(); cuts accumulate.
-  virtual void cut(std::uint32_t s, const IdSet& a, const IdSet& b) = 0;
-  virtual void heal(std::uint32_t s) = 0;
-  virtual void inject(std::uint32_t s, NodeId id, const StateFault& f) = 0;
-  /// `per_channel` garbage packets into every channel of fleet s.
-  virtual void garbage(std::uint32_t s, std::uint64_t per_channel) = 0;
+  virtual void cut(const IdSet& a, const IdSet& b) = 0;
+  virtual void heal() = 0;
+  virtual void inject(NodeId id, const StateFault& f) = 0;
+  /// `per_channel` garbage packets into every channel.
+  virtual void garbage(std::uint64_t per_channel) = 0;
   /// `per_node` sequential counter increments on each target.
-  virtual void increments(std::uint32_t s, const IdSet& targets,
-                          std::uint64_t per_node) = 0;
+  virtual void increments(const IdSet& targets, std::uint64_t per_node) = 0;
   /// One register write (payload from `salt`) or read on each target.
-  virtual void shmem(std::uint32_t s, const IdSet& targets, bool write,
-                     const std::string& reg, std::uint64_t salt) = 0;
-  /// One increment on node `target`; true when it completed.
-  virtual bool keyed_attempt(std::uint32_t s, NodeId target) = 0;
+  virtual void shmem(const IdSet& targets, bool write, const std::string& reg,
+                     std::uint64_t salt) = 0;
   /// Feeds completed operations not yet recorded to the counter-order
-  /// monitors (incremental; safe to call repeatedly).
+  /// monitor (incremental; safe to call repeatedly).
   virtual void harvest() = 0;
-  /// Lets every fleet run for `d` (spec time).
+  /// Lets the fleet run for `d` (spec time).
   virtual void run_for(SimTime d) = 0;
-  /// Runs every fleet until `met` holds, checking it at the fabric's
-  /// sampling steps; false when `budget` (spec time, which the fabric maps
-  /// to its own clock) passed first.
+  /// Runs until `met` holds, checking it at the fabric's sampling steps;
+  /// false when `budget` (spec time, which the fabric maps to its own
+  /// clock) passed first.
   virtual bool wait_until(SimTime budget, const std::function<bool()>& met) = 0;
   /// Brings every node's observed state up to date (a closure window opens
   /// next, and a change from before it must not count inside it).
   virtual void refresh() = 0;
-  /// After every node of fleet s crashed: true when the fleet went silent
-  /// within `budget`.
-  virtual bool drain(std::uint32_t s, SimTime budget) = 0;
-  virtual IdSet alive(std::uint32_t s) = 0;
-  /// Every alive node of fleet s is paused.
-  virtual bool stalled(std::uint32_t s) = 0;
+  /// After every node crashed: true when the fleet went silent within
+  /// `budget`.
+  virtual bool drain(SimTime budget) = 0;
+  virtual IdSet alive() = 0;
   /// The latest snapshot of alive node `id`; a default one (satisfying no
   /// predicate) when the fabric has not observed it yet.
-  virtual node::NodeSnapshot snapshot(std::uint32_t s, NodeId id) = 0;
-  /// The fabric's own fields of fleet s's result: sim_time, sched_events,
-  /// packet and syscall totals, op_latency.
-  virtual void fill_fleet_result(std::uint32_t s, ScenarioResult& r) = 0;
-  /// The fabric's own run-wide fields, after the fleets are folded.
-  virtual void fill_result(ScenarioResult&) {}
+  virtual node::NodeSnapshot snapshot(NodeId id) = 0;
+  /// The fabric's own fields of the result: sim_time, sched_events, packet,
+  /// pool and syscall totals, op_latency.
+  virtual void fill_result(ScenarioResult& r) = 0;
 
  private:
   void apply(const Action& a);
   void fail(const Action& a, const std::string& detail) {
     fail(std::string(to_string(a.kind)) + ": " + detail);
   }
-  /// Waits for `met` over fleet a.shard's alive snapshots; a missed budget
-  /// fails the run with `failure`.
+  /// Waits for `met` over the alive snapshots; a missed budget fails the
+  /// run with `failure`.
   template <class Pred>
-  bool await_fleet(const Action& a, const char* failure, Pred met);
-  /// Fleet s's alive snapshots, taken lazily: a predicate stops at the
-  /// first failing node, and later nodes are never snapshotted.
-  auto snapshots(std::uint32_t s);
-  /// A fleet await_converged and mark_stable leave out.
-  bool skipped(std::uint32_t s) { return spec_.shards > 1 && stalled(s); }
+  bool await_alive(const Action& a, const char* failure, Pred met);
+  /// The alive snapshots, taken lazily: a predicate stops at the first
+  /// failing node, and later nodes are never snapshotted.
+  auto snapshots();
   IdSet targets_or_alive(const Action& a) {
-    return a.targets.empty() ? alive(a.shard) : a.targets;
+    return a.targets.empty() ? alive() : a.targets;
   }
-  ScenarioResult fleet_result(std::uint32_t s);
-  /// keyed_increments: a.n ops on keys "<a.reg>:<i>". Per key: begin,
-  /// target, attempt; after a failed attempt the router decides retry,
-  /// redirect or give-up.
-  void keyed_increments(const Action& a);
-  void adopt_queued_growth();
 
   ScenarioSpec spec_;
   std::uint64_t seed_;
-  /// The keyed workload: one router over the spec's initial map, plus the
-  /// isolation ledger (ScenarioResult::ops_*).
-  shard::Router router_;
-  /// A grow_map waits here until the next failed keyed attempt, the end of
-  /// the keyed workload, or any other action.
-  bool growth_queued_ = false;
-  std::uint64_t ops_attempted_ = 0;
-  std::uint64_t ops_aborted_faulted_ = 0;
-  std::uint64_t ops_aborted_healthy_ = 0;
-  std::uint64_t ops_redirected_ = 0;
-  /// Next fresh id per fleet: identifiers are never reused.
-  std::vector<NodeId> next_id_;
+  /// Next fresh id: identifiers are never reused.
+  NodeId next_id_;
   bool failed_ = false;
   std::string failure_;
 };

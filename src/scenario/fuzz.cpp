@@ -105,20 +105,14 @@ void emit_pause(Rng& rng, const Model& m, std::vector<Action>& out) {
   out.push_back(A::resume_nodes(frozen));
 }
 
-/// Splices fault actions out of a random one-fleet library spec,
-/// retargeted onto the model's alive set. Only state-corruption kinds
-/// survive the splice: churn and await kinds would invalidate the model or
-/// demand the donor's timing. Drawing from the one-fleet entries alone
-/// keeps every fixed-seed campaign unchanged as multi-fleet specs join the
-/// library.
+/// Splices fault actions out of a random library spec, retargeted onto the
+/// model's alive set. Only state-corruption kinds survive the splice: churn
+/// and await kinds would invalidate the model or demand the donor's timing.
 void emit_splice(Rng& rng, const Model& m, std::vector<Action>& out) {
-  std::vector<const ScenarioSpec*> lib;
-  for (const ScenarioSpec& s : library()) {
-    if (s.shards == 1) lib.push_back(&s);
-  }
+  const std::vector<ScenarioSpec>& lib = library();
   if (lib.empty()) return;
   const ScenarioSpec& donor =
-      *lib[static_cast<std::size_t>(rng.next_below(lib.size()))];
+      lib[static_cast<std::size_t>(rng.next_below(lib.size()))];
   for (const Phase& phase : donor.phases) {
     for (const Action& a : phase.actions) {
       switch (a.kind) {

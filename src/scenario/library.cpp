@@ -311,87 +311,6 @@ ScenarioSpec vs_workload() {
   return s;
 }
 
-// The multi-fleet scenarios: K quorum groups (shards) of 3 nodes, each
-// running the full stack with the VS layer, driven by one keyed increment
-// workload through shard::Router. On top of each fleet's own invariants,
-// the isolation ledger fails the run if an op gives up on a healthy fleet.
-
-ScenarioSpec sharded_bootstrap() {
-  ScenarioSpec s;
-  s.name = "sharded-bootstrap";
-  s.description =
-      "3 shards x 3 nodes bootstrap independently; a keyed increment "
-      "workload routes across all shards and every shard converges";
-  s.shards = 3;
-  s.enable_vs = true;
-  s.phases = {
-      {"converge", {A::await_converged(90 * kSec), A::mark_stable()}},
-      {"workload",
-       {A::keyed_increments(18, "boot"), A::await_converged(60 * kSec)}},
-  };
-  return s;
-}
-
-ScenarioSpec sharded_fault_isolation() {
-  // Faults in two shards at once — a crash that forces a reconfiguration
-  // in shard 0 and a full stall of shard 1 — while shard 2 stays marked
-  // stable. Keyed ops on shards 0 and 2 must complete during the fault
-  // window; ops on the stalled shard may give up (bounded by the router's
-  // retry budget) without failing the run.
-  ScenarioSpec s;
-  s.name = "sharded-fault-isolation";
-  s.description =
-      "crash in shard 0 + full stall of shard 1; shards 0 and 2 keep "
-      "serving the workload and shard 2 never reconfigures";
-  s.shards = 3;
-  s.enable_vs = true;
-  s.phases = {
-      {"converge",
-       {A::await_converged(90 * kSec), A::mark_stable(),
-        A::keyed_increments(9, "pre")}},
-      // Shard 0 gets room to replace the crashed member before keyed
-      // traffic returns; shard 1 stays stalled through the workload.
-      {"faults",
-       {A::crash({1}).on_shard(0), A::pause_nodes({1, 2, 3}).on_shard(1),
-        A::run_for(30 * kSec), A::keyed_increments(18, "mid")}},
-      {"recover",
-       {A::resume_nodes({1, 2, 3}).on_shard(1), A::await_converged(150 * kSec),
-        A::keyed_increments(9, "post")}},
-  };
-  return s;
-}
-
-ScenarioSpec sharded_map_growth() {
-  // Shard-map epoch change under load. The run starts with a 2-shard map
-  // over 3 fleets (fleet 2 idle), stalls the map's most-loaded shard, then
-  // grows the map mid-workload: the first failed attempt adopts the
-  // epoch-2 map, and keys whose slots moved are redirected to the fresh
-  // shard and complete there.
-  ScenarioSpec s;
-  s.name = "sharded-map-growth";
-  s.description =
-      "grow a 2-shard map to 3 shards while shard 0 is stalled; "
-      "redirected keys complete on the fresh shard";
-  s.shards = 3;
-  s.map_shards = 2;
-  s.enable_vs = true;
-  s.phases = {
-      {"converge",
-       {A::await_converged(90 * kSec), A::keyed_increments(12, "pre")}},
-      // uniform(2)'s most-loaded shard is shard 0 (ties break low), and
-      // with_shard_added() steals exactly its slots first — so stalling
-      // shard 0 guarantees some mid-workload redirects land on the fresh
-      // shard.
-      {"grow",
-       {A::pause_nodes({1, 2, 3}).on_shard(0), A::grow_map(),
-        A::keyed_increments(18, "grow")}},
-      {"recover",
-       {A::resume_nodes({1, 2, 3}).on_shard(0), A::await_converged(150 * kSec),
-        A::keyed_increments(9, "post")}},
-  };
-  return s;
-}
-
 }  // namespace
 
 const std::vector<ScenarioSpec>& library() {
@@ -412,9 +331,6 @@ const std::vector<ScenarioSpec>& library() {
       crash_then_stable(),
       adversarial_bitflips(),
       vs_workload(),
-      sharded_bootstrap(),
-      sharded_fault_isolation(),
-      sharded_map_growth(),
   };
   return specs;
 }

@@ -44,10 +44,12 @@ constexpr SimTime kMinAwait = 30 * kSec;
 }  // namespace
 
 ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
-    : ScenarioBackend(std::move(spec), opt.seed), opt_(std::move(opt)) {
+    : ScenarioBackend(std::move(spec), opt.seed),
+      opt_(std::move(opt)),
+      epoch_usec_(steady_usec()),
+      registry_(InvariantRegistry::Clock([this] { return now(); })) {
   SSR_ASSERT(!opt_.node_binary.empty(),
              "ProcessBackendOptions.node_binary is required");
-  epoch_usec_ = steady_usec();
   if (opt_.work_dir.empty()) {
     std::string templ =
         (std::filesystem::temp_directory_path() / "ssr-scenario-XXXXXX")
@@ -60,32 +62,17 @@ ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
   } else {
     dir_ = opt_.work_dir;
   }
-  const std::uint32_t shards = this->spec().shards;
-  fleets_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    Fleet& f = fleets_.emplace_back();
-    f.dir = dir_;
-    f.seed = this->spec().fleet_seed(opt_.seed, s);
-    if (shards > 1) {
-      f.dir += "/shard" + std::to_string(s);
-      f.tag = s + 1;
-    }
-    std::filesystem::create_directories(f.dir);
-    f.trace.set_clock([this] { return now(); });
-    f.registry = std::make_unique<InvariantRegistry>(
-        InvariantRegistry::Clock([this] { return now(); }));
-  }
+  std::filesystem::create_directories(dir_);
+  trace_.set_clock([this] { return now(); });
 }
 
 ProcessRunner::~ProcessRunner() {
-  for (Fleet& f : fleets_) {
-    for (auto& [id, p] : f.procs) {
-      if (p.pid > 0) {
-        ::kill(p.pid, SIGKILL);  // kills stopped children too
-        int status = 0;
-        ::waitpid(p.pid, &status, 0);
-        p.pid = -1;
-      }
+  for (auto& [id, p] : procs_) {
+    if (p.pid > 0) {
+      ::kill(p.pid, SIGKILL);  // kills stopped children too
+      int status = 0;
+      ::waitpid(p.pid, &status, 0);
+      p.pid = -1;
     }
   }
   // Keep the directory (logs, peer maps) whenever something went wrong so
@@ -112,53 +99,39 @@ void ProcessRunner::step_sleep() const {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 }
 
-IdSet ProcessRunner::alive(std::uint32_t s) {
+IdSet ProcessRunner::alive() {
   IdSet out;
-  for (const auto& [id, p] : fleets_[s].procs) {
+  for (const auto& [id, p] : procs_) {
     if (p.alive) out.insert(id);
   }
   return out;
 }
 
-bool ProcessRunner::stalled(std::uint32_t s) {
-  bool any = false;
-  for (const auto& [id, p] : fleets_[s].procs) {
-    (void)id;
-    if (!p.alive) continue;
-    if (!p.paused) return false;
-    any = true;
-  }
-  return any;
-}
-
-void ProcessRunner::fail_node(std::uint32_t s, NodeId id,
-                              const std::string& what) {
-  fail((fleets_.size() > 1 ? fleet_name(s) + ": " : std::string()) + "node " +
-       std::to_string(id) + " " + what);
+void ProcessRunner::fail_node(NodeId id, const std::string& what) {
+  fail("node " + std::to_string(id) + " " + what);
 }
 
 // -- Process management ------------------------------------------------------
 
-void ProcessRunner::write_cohort_peer_map(const Fleet& f) {
+void ProcessRunner::write_cohort_peer_map() {
   // Atomic rewrite (tmp + rename): daemons re-read this file while any of
   // their entries still shows port 0.
-  const std::string path = f.dir + "/peers.txt";
+  const std::string path = dir_ + "/peers.txt";
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp);
-    for (const auto& [id, p] : f.procs) {
+    for (const auto& [id, p] : procs_) {
       out << id << " 127.0.0.1 " << p.data_port << "\n";
     }
   }
   std::rename(tmp.c_str(), path.c_str());
 }
 
-void ProcessRunner::launch(Fleet& f, NodeId id, const std::string& peers_path) {
-  Proc& p = f.procs[id];
-  const std::string port_file = f.dir + "/port." + std::to_string(id);
+void ProcessRunner::launch(NodeId id, const std::string& peers_path) {
+  Proc& p = procs_[id];
+  const std::string port_file = dir_ + "/port." + std::to_string(id);
   std::remove(port_file.c_str());
-  const std::string log_file =
-      f.dir + "/node-" + std::to_string(id) + ".log";
+  const std::string log_file = dir_ + "/node-" + std::to_string(id) + ".log";
 
   std::vector<std::string> args = {
       opt_.node_binary,
@@ -168,12 +141,8 @@ void ProcessRunner::launch(Fleet& f, NodeId id, const std::string& peers_path) {
       "--seconds", std::to_string(opt_.node_seconds),
       "--tick-us", std::to_string(kTickUs),
       "--seed",
-      std::to_string((f.seed + 0x9E3779B97F4A7C15ULL) * 1000003ULL + id),
+      std::to_string((opt_.seed + 0x9E3779B97F4A7C15ULL) * 1000003ULL + id),
   };
-  if (f.tag != 0) {
-    args.push_back("--shard");
-    args.push_back(std::to_string(f.tag));
-  }
   const ScenarioSpec& sp = spec();
   if (sp.enable_vs) args.push_back("--vs");
   if (sp.aggressive_policy) args.push_back("--aggressive");
@@ -209,9 +178,9 @@ void ProcessRunner::launch(Fleet& f, NodeId id, const std::string& peers_path) {
   p.ops_harvested = 0;
 }
 
-bool ProcessRunner::collect_ports(Fleet& f, NodeId id) {
-  Proc& p = f.procs[id];
-  const std::string port_file = f.dir + "/port." + std::to_string(id);
+bool ProcessRunner::collect_ports(NodeId id) {
+  Proc& p = procs_[id];
+  const std::string port_file = dir_ + "/port." + std::to_string(id);
   const SimTime deadline = now() + 15 * kSec;
   while (now() < deadline) {
     std::ifstream in(port_file);
@@ -232,71 +201,66 @@ bool ProcessRunner::collect_ports(Fleet& f, NodeId id) {
   return false;
 }
 
-void ProcessRunner::spawn(std::uint32_t s, NodeId id) {
-  Fleet& f = fleets_[s];
+void ProcessRunner::spawn(NodeId id) {
   // A late joiner gets its own map: every current cohort member with its
   // real port, plus itself at port 0 (bind-and-discover). Existing nodes
   // learn the newcomer's address from its first well-formed datagram.
-  std::string peers_path = f.dir + "/peers." + std::to_string(id) + ".txt";
+  std::string peers_path = dir_ + "/peers." + std::to_string(id) + ".txt";
   {
     std::ofstream out(peers_path);
-    for (const auto& [other, p] : f.procs) {
+    for (const auto& [other, p] : procs_) {
       if (p.alive) out << other << " 127.0.0.1 " << p.data_port << "\n";
     }
     out << id << " 127.0.0.1 0\n";
   }
-  launch(f, id, peers_path);
-  f.trace.record(TraceKind::kNodeAdded, id);
-  if (!collect_ports(f, id)) fail_node(s, id, "failed to start");
+  launch(id, peers_path);
+  trace_.record(TraceKind::kNodeAdded, id);
+  if (!collect_ports(id)) fail_node(id, "failed to start");
 }
 
-void ProcessRunner::crash(std::uint32_t s, NodeId id) {
-  Fleet& f = fleets_[s];
-  auto it = f.procs.find(id);
-  if (it == f.procs.end() || !it->second.alive) return;
+void ProcessRunner::crash(NodeId id) {
+  auto it = procs_.find(id);
+  if (it == procs_.end() || !it->second.alive) return;
   Proc& p = it->second;
   // Completed operations die with the process; pull them first so the
   // counter-order record stays complete.
-  if (!p.paused) harvest_ops_from(f, id, p);
+  if (!p.paused) harvest_ops_from(id, p);
   ::kill(p.pid, SIGKILL);  // kills stopped processes too
   int status = 0;
   ::waitpid(p.pid, &status, 0);
   p.pid = -1;
   p.alive = false;
-  f.trace.record(TraceKind::kNodeCrashed, id);
+  trace_.record(TraceKind::kNodeCrashed, id);
 }
 
-void ProcessRunner::pause(std::uint32_t s, NodeId id) {
-  Fleet& f = fleets_[s];
-  auto it = f.procs.find(id);
-  if (it == f.procs.end() || !it->second.alive) return;
+void ProcessRunner::pause(NodeId id) {
+  auto it = procs_.find(id);
+  if (it == procs_.end() || !it->second.alive) return;
   // Harvest first: a stopped process cannot answer OPS, and it may be
   // SIGKILLed before ever resuming.
-  harvest_ops_from(f, id, it->second);
+  harvest_ops_from(id, it->second);
   ::kill(it->second.pid, SIGSTOP);
   it->second.paused = true;
-  f.trace.record(TraceKind::kNodePaused, id);
+  trace_.record(TraceKind::kNodePaused, id);
 }
 
-void ProcessRunner::resume(std::uint32_t s, NodeId id) {
-  Fleet& f = fleets_[s];
-  auto it = f.procs.find(id);
-  if (it == f.procs.end() || !it->second.alive || !it->second.paused) return;
+void ProcessRunner::resume(NodeId id) {
+  auto it = procs_.find(id);
+  if (it == procs_.end() || !it->second.alive || !it->second.paused) return;
   ::kill(it->second.pid, SIGCONT);
   it->second.paused = false;
-  f.trace.record(TraceKind::kNodeResumed, id);
+  trace_.record(TraceKind::kNodeResumed, id);
   // Peer-filter updates (splits/heals) that happened while the node was
   // stopped were never delivered; reinstall the current set.
-  control_or_fail(s, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
+  control_or_fail(id, "BLOCK " + ctl::format_ids(blocked_[id]));
   // And sample immediately, so state from before the pause cannot be
   // attributed into a closure window opened later.
-  sample_node(s, id, it->second);
+  sample_node(id, it->second);
 }
 
 // -- Sampling ----------------------------------------------------------------
 
-bool ProcessRunner::sample_node(std::uint32_t s, NodeId id, Proc& p) {
-  Fleet& f = fleets_[s];
+bool ProcessRunner::sample_node(NodeId id, Proc& p) {
   auto reply = client_.request(p.ctl_port, "STATUS", 250, 2);
   if (!reply) {
     // Unreachable: either mid-GC busy (retry next round) or dead. Only an
@@ -306,7 +270,7 @@ bool ProcessRunner::sample_node(std::uint32_t s, NodeId id, Proc& p) {
     if (p.pid > 0 && ::waitpid(p.pid, &status, WNOHANG) == p.pid) {
       p.pid = -1;
       p.alive = false;
-      fail_node(s, id, "exited unexpectedly");
+      fail_node(id, "exited unexpectedly");
     }
     return false;
   }
@@ -334,13 +298,13 @@ bool ProcessRunner::sample_node(std::uint32_t s, NodeId id, Proc& p) {
     // believed configuration at the sample instant.
     const std::uint64_t delta = changes - p.cfgchanges;
     for (std::uint64_t i = 0; i < delta; ++i) {
-      f.registry->config_history().record(
+      registry_.config_history().record(
           now(), id,
           cfg.is_proper() ? cfg : reconf::ConfigValue::bottom());
     }
-    f.trace.record(TraceKind::kConfigChange, id, new_digest, delta);
+    trace_.record(TraceKind::kConfigChange, id, new_digest, delta);
   } else if (!p.sampled() || cfg != p.snap.config) {
-    f.trace.record(TraceKind::kNodeSample, id, new_digest,
+    trace_.record(TraceKind::kNodeSample, id, new_digest,
                    (snap->no_reco ? 2u : 0u) | (snap->participant ? 1u : 0u));
   }
   p.cfgchanges = changes;
@@ -350,17 +314,15 @@ bool ProcessRunner::sample_node(std::uint32_t s, NodeId id, Proc& p) {
 
 bool ProcessRunner::sample() {
   bool all = true;
-  for (std::uint32_t s = 0; s < fleets_.size(); ++s) {
-    for (auto& [id, p] : fleets_[s].procs) {
-      if (!p.running()) continue;
-      all = sample_node(s, id, p) && all;
-      if (failed()) return false;
-    }
+  for (auto& [id, p] : procs_) {
+    if (!p.running()) continue;
+    all = sample_node(id, p) && all;
+    if (failed()) return false;
   }
   return all;
 }
 
-void ProcessRunner::harvest_ops_from(Fleet& f, NodeId id, Proc& p) {
+void ProcessRunner::harvest_ops_from(NodeId id, Proc& p) {
   // Paged pull: every reply carries ops starting at our cursor plus the
   // daemon's total. The cursor only moves past fully validated ops, so a
   // truncated or garbled reply is refetched on the next harvest instead of
@@ -393,9 +355,9 @@ void ProcessRunner::harvest_ops_from(Fleet& f, NodeId id, Proc& p) {
       wire::Reader r(*blob);
       auto c = counter::Counter::decode(r);
       if (!c || !r.ok()) return;
-      f.registry->counter_order().record(started, finished, *c);
-      if (finished >= started) f.op_latency.record(finished - started);
-      f.trace.record(TraceKind::kIncrementDone, id, 1, c->seqn);
+      registry_.counter_order().record(started, finished, *c);
+      if (finished >= started) op_latency_.record(finished - started);
+      trace_.record(TraceKind::kIncrementDone, id, 1, c->seqn);
       ++p.ops_harvested;
       progressed = true;
     }
@@ -404,44 +366,39 @@ void ProcessRunner::harvest_ops_from(Fleet& f, NodeId id, Proc& p) {
 }
 
 void ProcessRunner::harvest() {
-  for (Fleet& f : fleets_) {
-    for (auto& [id, p] : f.procs) {
-      if (p.running()) harvest_ops_from(f, id, p);
-    }
+  for (auto& [id, p] : procs_) {
+    if (p.running()) harvest_ops_from(id, p);
   }
 }
 
 // -- Control helpers ---------------------------------------------------------
 
-void ProcessRunner::control_or_fail(std::uint32_t s, NodeId id,
-                                    const std::string& cmd) {
-  auto reply = client_.request(fleets_[s].procs.at(id).ctl_port, cmd);
+void ProcessRunner::control_or_fail(NodeId id, const std::string& cmd) {
+  auto reply = client_.request(procs_.at(id).ctl_port, cmd);
   if (!reply) {
-    fail_node(s, id, "unreachable for '" + cmd + "'");
+    fail_node(id, "unreachable for '" + cmd + "'");
   } else if (reply->rfind("OK", 0) != 0) {
-    fail_node(s, id, "rejected '" + cmd + "': " + *reply);
+    fail_node(id, "rejected '" + cmd + "': " + *reply);
   }
 }
 
-void ProcessRunner::send_blocked_sets(std::uint32_t s, const IdSet& touched) {
-  Fleet& f = fleets_[s];
+void ProcessRunner::send_blocked_sets(const IdSet& touched) {
   for (NodeId id : touched) {
-    auto it = f.procs.find(id);
-    if (it == f.procs.end() || !it->second.running()) continue;
-    control_or_fail(s, id, "BLOCK " + ctl::format_ids(f.blocked[id]));
+    auto it = procs_.find(id);
+    if (it == procs_.end() || !it->second.running()) continue;
+    control_or_fail(id, "BLOCK " + ctl::format_ids(blocked_[id]));
   }
 }
 
-IdSet ProcessRunner::queue_and_drain(std::uint32_t s, const IdSet& targets,
+IdSet ProcessRunner::queue_and_drain(const IdSet& targets,
                                      const std::string& cmd,
                                      std::uint64_t Proc::*queue,
                                      SimTime budget) {
-  Fleet& f = fleets_[s];
   IdSet queued;
   for (NodeId id : targets) {
-    auto it = f.procs.find(id);
-    if (it == f.procs.end() || !it->second.running()) continue;
-    control_or_fail(s, id, cmd);
+    auto it = procs_.find(id);
+    if (it == procs_.end() || !it->second.running()) continue;
+    control_or_fail(id, cmd);
     if (failed()) return queued;
     queued.insert(id);
   }
@@ -451,7 +408,7 @@ IdSet ProcessRunner::queue_and_drain(std::uint32_t s, const IdSet& targets,
   // fewer ops feed the invariant checks.
   await(await_budget(budget), [&] {
     for (NodeId id : queued) {
-      const Proc& p = f.procs.at(id);
+      const Proc& p = procs_.at(id);
       if (p.running() && (!p.sampled() || p.*queue != 0)) return false;
     }
     return true;
@@ -461,30 +418,29 @@ IdSet ProcessRunner::queue_and_drain(std::uint32_t s, const IdSet& targets,
 
 // -- Fabric primitives -------------------------------------------------------
 
-void ProcessRunner::cut(std::uint32_t s, const IdSet& a, const IdSet& b) {
-  Fleet& f = fleets_[s];
+void ProcessRunner::cut(const IdSet& a, const IdSet& b) {
   for (NodeId x : a) {
     for (NodeId y : b) {
       if (x == y) continue;
-      f.blocked[x].insert(y);
-      f.blocked[y].insert(x);
+      blocked_[x].insert(y);
+      blocked_[y].insert(x);
     }
   }
   IdSet touched = a;
   for (NodeId y : b) touched.insert(y);
-  send_blocked_sets(s, touched);
+  send_blocked_sets(touched);
 }
 
-void ProcessRunner::heal(std::uint32_t s) {
+void ProcessRunner::heal() {
   IdSet touched;
-  for (auto& [id, set] : fleets_[s].blocked) {
+  for (auto& [id, set] : blocked_) {
     if (!set.empty()) touched.insert(id);
     set = IdSet{};
   }
-  send_blocked_sets(s, touched);
+  send_blocked_sets(touched);
 }
 
-void ProcessRunner::inject(std::uint32_t s, NodeId id, const StateFault& f) {
+void ProcessRunner::inject(NodeId id, const StateFault& f) {
   std::string cmd;
   switch (f.kind) {
     case StateFault::Kind::kRecsa:
@@ -504,17 +460,16 @@ void ProcessRunner::inject(std::uint32_t s, NodeId id, const StateFault& f) {
             ((f.n & 2) ? "1 " : "0 ") + ctl::format_ids(f.ids);
       break;
   }
-  control_or_fail(s, id, cmd);
+  control_or_fail(id, cmd);
 }
 
-void ProcessRunner::garbage(std::uint32_t s, std::uint64_t per_node) {
+void ProcessRunner::garbage(std::uint64_t per_node) {
   // OS-level channel garbage: raw junk datagrams straight at every node's
   // data socket — no cooperation from the daemon at all.
   const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (raw < 0) return;
-  const Fleet& f = fleets_[s];
-  Rng rng(f.seed ^ 0x6A12BA6EULL);
-  for (const auto& [id, p] : f.procs) {
+  Rng rng(opt_.seed ^ 0x6A12BA6EULL);
+  for (const auto& [id, p] : procs_) {
     if (!p.alive) continue;
     sockaddr_in to{};
     to.sin_family = AF_INET;
@@ -532,39 +487,23 @@ void ProcessRunner::garbage(std::uint32_t s, std::uint64_t per_node) {
   ::close(raw);
 }
 
-void ProcessRunner::increments(std::uint32_t s, const IdSet& targets,
-                               std::uint64_t per_node) {
+void ProcessRunner::increments(const IdSet& targets, std::uint64_t per_node) {
   // Generous drain budget: increments are quorum operations that legally
   // abort and retry through reconfigurations.
-  queue_and_drain(s, targets, "INC " + std::to_string(per_node), &Proc::incq,
+  queue_and_drain(targets, "INC " + std::to_string(per_node), &Proc::incq,
                   120 * kSec * (per_node == 0 ? 1 : per_node));
 }
 
-void ProcessRunner::shmem(std::uint32_t s, const IdSet& targets, bool write,
+void ProcessRunner::shmem(const IdSet& targets, bool write,
                           const std::string& reg, std::uint64_t salt) {
   const std::string cmd =
       write ? "SHMEMW " + reg + " " + std::to_string(salt) : "SHMEMR " + reg;
-  const IdSet queued =
-      queue_and_drain(s, targets, cmd, &Proc::shmq, 160 * kSec);
-  Fleet& f = fleets_[s];
+  const IdSet queued = queue_and_drain(targets, cmd, &Proc::shmq, 160 * kSec);
   for (NodeId id : queued) {
-    const Proc& p = f.procs.at(id);
-    f.trace.record(TraceKind::kShmemOpDone, id,
-                   (p.sampled() && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
+    const Proc& p = procs_.at(id);
+    trace_.record(TraceKind::kShmemOpDone, id,
+                  (p.sampled() && p.shmq == 0) ? 1 : 0, write ? 1 : 0);
   }
-}
-
-bool ProcessRunner::keyed_attempt(std::uint32_t s, NodeId target) {
-  // One routed attempt is one single-op burst on the target. A paused or
-  // crashed target is skipped by the burst, so its wait is instant and the
-  // fleet's harvested-op count stays put: the router rotates on. An op that
-  // straggles past the burst's drain budget gets credited to a later
-  // attempt on the same fleet; both ops did complete there, which is what
-  // the isolation ledger measures.
-  const std::uint64_t before = fleets_[s].op_latency.count();
-  increments(s, {target}, 1);
-  harvest();
-  return fleets_[s].op_latency.count() > before;
 }
 
 void ProcessRunner::run_for(SimTime d) {
@@ -587,46 +526,39 @@ bool ProcessRunner::bootstrap() {
   bootstrapped_ = true;
   ran_ = true;  // the destructor's keep-the-scratch-dir logic keys on this
 
-  // Every fleet's cohort is spawned up front; from here on the fleets all
-  // run concurrently in real time and one loop samples them.
-  for (std::uint32_t s = 0; s < fleets_.size(); ++s) {
-    Fleet& f = fleets_[s];
-    // Spawn everyone against a placeholder map (all ports 0), then
-    // publish the real ports in one atomic rewrite. The daemons poll the
-    // map until their view has no port-0 entries left.
-    for (std::size_t i = 1; i <= spec().initial_nodes; ++i) {
-      f.procs[static_cast<NodeId>(i)];  // placeholder so the map lists it
-    }
-    {
-      std::ofstream out(f.dir + "/peers.txt");
-      for (const auto& [id, p] : f.procs) {
-        (void)p;
-        out << id << " 127.0.0.1 0\n";
-      }
-    }
-    for (auto& [id, p] : f.procs) {
-      (void)p;
-      launch(f, id, f.dir + "/peers.txt");
-      f.trace.record(TraceKind::kNodeAdded, id);
-    }
-    for (auto& [id, p] : f.procs) {
-      (void)p;
-      if (!collect_ports(f, id)) {
-        fail_node(s, id, "failed to start");
-        break;
-      }
-    }
-    if (failed()) break;
-    write_cohort_peer_map(f);
+  // Spawn everyone against a placeholder map (all ports 0), then publish
+  // the real ports in one atomic rewrite. The daemons poll the map until
+  // their view has no port-0 entries left.
+  for (std::size_t i = 1; i <= spec().initial_nodes; ++i) {
+    procs_[static_cast<NodeId>(i)];  // placeholder so the map lists it
   }
-  return !failed();
+  {
+    std::ofstream out(dir_ + "/peers.txt");
+    for (const auto& [id, p] : procs_) {
+      (void)p;
+      out << id << " 127.0.0.1 0\n";
+    }
+  }
+  for (auto& [id, p] : procs_) {
+    (void)p;
+    launch(id, dir_ + "/peers.txt");
+    trace_.record(TraceKind::kNodeAdded, id);
+  }
+  for (auto& [id, p] : procs_) {
+    (void)p;
+    if (!collect_ports(id)) {
+      fail_node(id, "failed to start");
+      return false;
+    }
+  }
+  write_cohort_peer_map();
+  return true;
 }
 
-void ProcessRunner::fill_fleet_result(std::uint32_t s, ScenarioResult& r) {
-  const Fleet& f = fleets_[s];
+void ProcessRunner::fill_result(ScenarioResult& r) {
   r.sim_time = now();
-  r.op_latency = f.op_latency;
-  for (const auto& [id, p] : f.procs) {
+  r.op_latency = op_latency_;
+  for (const auto& [id, p] : procs_) {
     (void)id;
     r.packets_sent += p.sent;
     r.packets_delivered += p.recv;

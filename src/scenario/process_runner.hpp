@@ -14,8 +14,6 @@
 //   channel garbage     raw junk datagrams fired at every node's data port
 //   state faults        CORRUPT/CONF/PLANT_CTR/RECMA control commands
 //   workload            INC/SHMEMW/SHMEMR control commands
-//   keyed workload      one single-op INC per routed attempt; it completed
-//                       iff the fleet's harvested-op count moved
 //
 // Node state is sampled over the control socket into the same TraceRecorder
 // the simulator uses, and the same InvariantRegistry checks evaluate at the
@@ -26,10 +24,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "node/snapshot.hpp"
 #include "scenario/backend.hpp"
@@ -44,52 +39,48 @@ struct ProcessBackendOptions {
   std::string node_binary;
   /// Scratch directory for peer maps, port files and per-node logs; empty =
   /// a fresh mkdtemp under TMPDIR. Kept on failure (CI uploads it), removed
-  /// on success unless keep_dir. With more than one fleet, fleet s lives in
-  /// its "shard<s>" subdirectory.
+  /// on success unless keep_dir.
   std::string work_dir;
   bool keep_dir = false;
   /// Wall-clock seconds per simulated second for durations in the spec.
   /// Awaits stop early on success, so this mostly paces run_for stretches
   /// and closure windows.
   double time_scale = 0.05;
-  /// Forwarded into the daemons' RNG seeds (per-fleet and per-node mixed).
+  /// Forwarded into the daemons' RNG seeds (mixed with each node id).
   std::uint64_t seed = 1;
   /// --seconds passed to every daemon: a self-destruct horizon so orphans
   /// die even if the runner is SIGKILLed mid-scenario.
   std::uint64_t node_seconds = 900;
 };
 
-/// The process fabric: one ssr_node fleet per ScenarioSpec::shards, all
-/// running concurrently in real time and sampled by one control loop. With
-/// more than one fleet, fleet s stamps shard tag s+1 into its UDP envelopes
-/// (0 is the untagged default), so disjoint fleets on one host cannot leak
-/// protocol traffic into each other even with overlapping node ids. One
-/// runner instance runs one spec once; the destructor reaps every child it
-/// spawned.
+/// The process fabric: one ssr_node fleet running in real time and sampled
+/// by one control loop. One runner instance runs one spec once; the
+/// destructor reaps every child it spawned.
 ///
-/// Threading: deliberately single-threaded. Fleets are separate OS
-/// processes driven round-robin from one loop, so there is no shared
-/// in-process state to guard.
+/// Threading: deliberately single-threaded. The daemons are separate OS
+/// processes driven from one loop, so there is no shared in-process state
+/// to guard.
 class ProcessRunner final : public ScenarioBackend {
  public:
   ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt);
   ~ProcessRunner() override;
 
   const std::string& work_dir() const { return dir_; }
+  TraceRecorder& trace() override { return trace_; }
+  InvariantRegistry& invariants() override { return registry_; }
 
   // -- Staged driving ---------------------------------------------------------
   // run() is exactly bootstrap(), then every phase action through step(),
   // then finish(); a caller that times its own stretches calls them itself.
 
-  /// Spawns every fleet's initial cohort and publishes the port maps.
-  /// Returns false (with the failure recorded) when a daemon failed to
-  /// start.
+  /// Spawns the initial cohort and publishes the port map. Returns false
+  /// (with the failure recorded) when a daemon failed to start.
   bool bootstrap() override;
 
-  /// One STATUS round over every alive, unpaused node of every fleet.
-  /// Config changes observed since the previous round are recorded into
-  /// the fleet's trace and config-history monitor. An unreachable node is
-  /// checked against waitpid: an unexpected exit fails the scenario.
+  /// One STATUS round over every alive, unpaused node. Config changes
+  /// observed since the previous round are recorded into the trace and the
+  /// config-history monitor. An unreachable node is checked against
+  /// waitpid: an unexpected exit fails the scenario.
   /// Returns true when every polled node answered this round.
   bool sample();
   /// The await_converged condition over the latest samples (no new
@@ -123,45 +114,20 @@ class ProcessRunner final : public ScenarioBackend {
     bool running() const { return alive && !paused; }
   };
 
-  /// One ssr_node fleet: its daemons, peer filters, trace, registry and
-  /// latency histogram.
-  struct Fleet {
-    std::string dir;
-    std::uint64_t seed = 0;
-    /// Envelope shard tag: 0 for a one-fleet spec, s+1 for fleet s.
-    std::uint32_t tag = 0;
-    TraceRecorder trace;
-    std::unique_ptr<InvariantRegistry> registry;
-    std::map<NodeId, Proc> procs;
-    /// Runner-side view of each node's peer filter (BLOCK replaces the
-    /// whole set, so partitions accumulate here and ship as full sets).
-    std::map<NodeId, IdSet> blocked;
-    /// Wall-clock client-op latencies harvested from the daemons.
-    util::LatencyHistogram op_latency;
-  };
-
   // -- Fabric primitives ------------------------------------------------------
-  TraceRecorder& fleet_trace(std::uint32_t s) override {
-    return fleets_[s].trace;
-  }
-  InvariantRegistry& fleet_registry(std::uint32_t s) override {
-    return *fleets_[s].registry;
-  }
-  void spawn(std::uint32_t s, NodeId id) override;
-  void crash(std::uint32_t s, NodeId id) override;
-  void pause(std::uint32_t s, NodeId id) override;
-  void resume(std::uint32_t s, NodeId id) override;
-  void cut(std::uint32_t s, const IdSet& a, const IdSet& b) override;
-  void heal(std::uint32_t s) override;
-  void inject(std::uint32_t s, NodeId id, const StateFault& f) override;
-  void garbage(std::uint32_t s, std::uint64_t per_node) override;
-  void increments(std::uint32_t s, const IdSet& targets,
-                  std::uint64_t per_node) override;
-  void shmem(std::uint32_t s, const IdSet& targets, bool write,
-             const std::string& reg, std::uint64_t salt) override;
-  bool keyed_attempt(std::uint32_t s, NodeId target) override;
+  void spawn(NodeId id) override;
+  void crash(NodeId id) override;
+  void pause(NodeId id) override;
+  void resume(NodeId id) override;
+  void cut(const IdSet& a, const IdSet& b) override;
+  void heal() override;
+  void inject(NodeId id, const StateFault& f) override;
+  void garbage(std::uint64_t per_node) override;
+  void increments(const IdSet& targets, std::uint64_t per_node) override;
+  void shmem(const IdSet& targets, bool write, const std::string& reg,
+             std::uint64_t salt) override;
   /// Pulls completed operations from every running node into the
-  /// counter-order monitors.
+  /// counter-order monitor.
   void harvest() override;
   void run_for(SimTime d) override;
   bool wait_until(SimTime budget, const std::function<bool()>& met) override {
@@ -170,27 +136,26 @@ class ProcessRunner final : public ScenarioBackend {
   void refresh() override;
   /// Process-level quiescence is an OS triviality (the processes are gone);
   /// the event-level drain check is a simulator property.
-  bool drain(std::uint32_t, SimTime) override { return true; }
-  IdSet alive(std::uint32_t s) override;
-  bool stalled(std::uint32_t s) override;
-  node::NodeSnapshot snapshot(std::uint32_t s, NodeId id) override {
-    return fleets_[s].procs.at(id).snap;
+  bool drain(SimTime) override { return true; }
+  IdSet alive() override;
+  node::NodeSnapshot snapshot(NodeId id) override {
+    return procs_.at(id).snap;
   }
-  void fill_fleet_result(std::uint32_t s, ScenarioResult& r) override;
+  void fill_result(ScenarioResult& r) override;
 
   /// Wall microseconds since run start — the backend's SimTime.
   SimTime now() const;
   SimTime scaled(SimTime sim_duration) const;
   SimTime await_budget(SimTime sim_duration) const;
 
-  void launch(Fleet& f, NodeId id, const std::string& peers_path);
-  void write_cohort_peer_map(const Fleet& f);
-  bool collect_ports(Fleet& f, NodeId id);
+  void launch(NodeId id, const std::string& peers_path);
+  void write_cohort_peer_map();
+  bool collect_ports(NodeId id);
   /// Records a failure at one node ("node 3 failed to start").
-  void fail_node(std::uint32_t s, NodeId id, const std::string& what);
+  void fail_node(NodeId id, const std::string& what);
 
-  bool sample_node(std::uint32_t s, NodeId id, Proc& p);
-  void harvest_ops_from(Fleet& f, NodeId id, Proc& p);
+  bool sample_node(NodeId id, Proc& p);
+  void harvest_ops_from(NodeId id, Proc& p);
 
   /// Sleeps in sampling steps until `pred` holds or `budget` elapses.
   template <class Pred>
@@ -206,21 +171,27 @@ class ProcessRunner final : public ScenarioBackend {
   }
 
   void step_sleep() const;
-  void send_blocked_sets(std::uint32_t s, const IdSet& touched);
-  void control_or_fail(std::uint32_t s, NodeId id, const std::string& cmd);
+  void send_blocked_sets(const IdSet& touched);
+  void control_or_fail(NodeId id, const std::string& cmd);
   /// Sends `cmd` to every running target, then waits until each drained
   /// its queue (STATUS `queue`=0) or `budget` (spec time) passed. Returns
   /// the targets it queued on.
-  IdSet queue_and_drain(std::uint32_t s, const IdSet& targets,
-                        const std::string& cmd, std::uint64_t Proc::*queue,
-                        SimTime budget);
+  IdSet queue_and_drain(const IdSet& targets, const std::string& cmd,
+                        std::uint64_t Proc::*queue, SimTime budget);
 
   ProcessBackendOptions opt_;
   std::string dir_;
   bool made_dir_ = false;
   std::uint64_t epoch_usec_ = 0;
   ctl::ControlClient client_;
-  std::vector<Fleet> fleets_;
+  TraceRecorder trace_;
+  InvariantRegistry registry_;
+  std::map<NodeId, Proc> procs_;
+  /// Runner-side view of each node's peer filter (BLOCK replaces the whole
+  /// set, so partitions accumulate here and ship as full sets).
+  std::map<NodeId, IdSet> blocked_;
+  /// Wall-clock client-op latencies harvested from the daemons.
+  util::LatencyHistogram op_latency_;
   bool ran_ = false;
   bool bootstrapped_ = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fd/theta_fd.hpp"
 #include "scenario/trace.hpp"
 
 namespace ssr::scenario {
@@ -32,8 +33,6 @@ const char* to_string(ActionKind k) {
     case ActionKind::kAwaitQuiescent: return "await_quiescent";
     case ActionKind::kPauseNodes: return "pause_nodes";
     case ActionKind::kResumeNodes: return "resume_nodes";
-    case ActionKind::kKeyedIncrements: return "keyed_increments";
-    case ActionKind::kGrowMap: return "grow_map";
   }
   return "unknown";
 }
@@ -45,7 +44,6 @@ std::uint64_t Action::digest() const {
   h = TraceRecorder::mix(h, n);
   h = TraceRecorder::mix(h, duration);
   for (char c : reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  if (shard != 0) h = TraceRecorder::mix(h, shard);
   return h;
 }
 
@@ -147,36 +145,26 @@ Action Action::resume_nodes(IdSet targets) {
   return {.kind = ActionKind::kResumeNodes, .targets = std::move(targets)};
 }
 
-Action Action::keyed_increments(std::uint64_t count, std::string key_prefix) {
-  return {.kind = ActionKind::kKeyedIncrements, .n = count,
-          .reg = std::move(key_prefix)};
-}
-
-Action Action::grow_map() { return {.kind = ActionKind::kGrowMap}; }
-
 bool spec_references_valid(const ScenarioSpec& spec) {
-  if (spec.initial_nodes == 0 || spec.shards == 0 ||
-      spec.map_shards > spec.shards) {
-    return false;
-  }
-  std::vector<std::uint64_t> minted(spec.shards, spec.initial_nodes);
-  std::uint32_t map_width = spec.initial_map_shards();
+  // Every minted id is a whole protocol stack (a daemon under the process
+  // backend), so a spec file may ask for no more than the paper's N.
+  const std::uint64_t max_ids = fd::FdConfig{}.max_nodes;
+  if (spec.initial_nodes == 0 || spec.initial_nodes > max_ids) return false;
+  std::uint64_t minted = spec.initial_nodes;
   for (const Phase& phase : spec.phases) {
     for (const Action& a : phase.actions) {
-      if (a.shard >= spec.shards) return false;
-      if (a.kind == ActionKind::kGrowMap && ++map_width > spec.shards) {
-        return false;
-      }
-      std::uint64_t& created = minted[a.shard];
-      const auto exists = [created](NodeId id) {
-        return id != 0 && id <= created;
+      const auto exists = [minted](NodeId id) {
+        return id != 0 && id <= minted;
       };
       if (!std::all_of(a.targets.begin(), a.targets.end(), exists) ||
           !std::all_of(a.group_b.begin(), a.group_b.end(), exists)) {
         return false;
       }
-      if (a.kind == ActionKind::kAddNodes) created += a.n;
-      if (a.kind == ActionKind::kReboot) created += a.targets.size();
+      std::uint64_t fresh = 0;
+      if (a.kind == ActionKind::kAddNodes) fresh = a.n;
+      if (a.kind == ActionKind::kReboot) fresh = a.targets.size();
+      if (fresh > max_ids - minted) return false;
+      minted += fresh;
     }
   }
   return true;

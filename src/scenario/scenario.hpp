@@ -38,13 +38,6 @@ enum class ActionKind : std::uint8_t {
                       ///< backend; fabric isolation under the simulator — a
                       ///< stopped process is unreachable from the outside)
   kResumeNodes,       ///< targets: unfreeze (SIGCONT / fabric rejoin)
-  kKeyedIncrements,   ///< n increments on keys "reg:0".."reg:n-1", each
-                      ///< routed to its fleet through shard::Router
-  kGrowMap,           ///< queue map().with_shard_added() for the router;
-                      ///< adopted at the next failed keyed attempt, at the
-                      ///< end of the keyed workload, or before any other
-                      ///< action (an epoch change under load); fails the
-                      ///< run once the map spans every fleet
 };
 
 const char* to_string(ActionKind k);
@@ -56,21 +49,9 @@ struct Action {
   std::uint64_t n = 0;
   SimTime duration = 0;
   std::string reg = {};
-  /// Fleet the action applies to (ScenarioSpec::shards). run_for,
-  /// await_converged and mark_stable span every fleet; keyed increments
-  /// pick their fleet per key.
-  std::uint32_t shard = 0;
 
-  /// Parameter digest recorded with kActionApplied (the fleet index only
-  /// when nonzero, so one-fleet traces keep their hashes).
+  /// Parameter digest recorded with kActionApplied.
   std::uint64_t digest() const;
-
-  /// This action aimed at fleet `s`.
-  Action on_shard(std::uint32_t s) const {
-    Action a = *this;
-    a.shard = s;
-    return a;
-  }
 
   // -- Named constructors (keep scenario scripts readable) -------------------
   static Action add_nodes(std::uint64_t count);
@@ -97,8 +78,6 @@ struct Action {
   static Action await_quiescent(SimTime budget);
   static Action pause_nodes(IdSet targets);
   static Action resume_nodes(IdSet targets);
-  static Action keyed_increments(std::uint64_t count, std::string key_prefix);
-  static Action grow_map();
 };
 
 struct Phase {
@@ -133,32 +112,14 @@ struct ScenarioSpec {
   /// stale-label retransmissions first. Deterministic per (spec, seed);
   /// simulator backend only (the process backend ignores it).
   bool adversarial = false;
-  /// Independent fleets of `initial_nodes` nodes each: one quorum group
-  /// (shard) per fleet, sharing nothing but the keyed client workload.
-  /// With more than one, each fleet runs on its own seed (fleet_seed), so
-  /// one seed still names the whole execution.
-  std::uint32_t shards = 1;
-  /// Fleets covered by the initial ShardMap the keyed workload routes
-  /// over; 0 = all of them. Fewer leaves the tail fleets idle until
-  /// grow_map routes keys to them.
-  std::uint32_t map_shards = 0;
   std::vector<Phase> phases;
-
-  std::uint32_t initial_map_shards() const {
-    return map_shards == 0 ? shards : map_shards;
-  }
-  /// Seed of fleet s: the run seed itself for a one-fleet spec.
-  std::uint64_t fleet_seed(std::uint64_t seed, std::uint32_t s) const {
-    return shards == 1 ? seed : seed + 0x9E3779B97F4A7C15ULL * (s + 1);
-  }
 };
 
-/// True when every fleet and node id the spec names exists by the time it is
-/// used: a.shard < shards; the initial map and each grow_map stay within
-/// the fleets; and ids are 1-based and minted per fleet in order — the
-/// initial cohort, then one per add_nodes unit and one per reboot target.
-/// load_spec refuses spec files that fail it; the fuzzer generates and
-/// shrinks only inside it.
+/// True when every node id the spec names exists by the time it is used, and
+/// the spec mints no more ids than the paper's N (fd::FdConfig::max_nodes):
+/// ids are 1-based and minted in order — the initial cohort, then one per
+/// add_nodes unit and one per reboot target. load_spec refuses spec files
+/// that fail it; the fuzzer generates and shrinks only inside it.
 bool spec_references_valid(const ScenarioSpec& spec);
 
 }  // namespace ssr::scenario

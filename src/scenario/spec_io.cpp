@@ -12,9 +12,6 @@ namespace ssr::scenario {
 namespace {
 
 constexpr const char* kMagic = "ssrspec v1";
-/// Fleets one spec may declare: each is a whole protocol stack (a process
-/// fleet under the process backend), so a file cannot ask for millions.
-constexpr std::uint64_t kMaxShards = 64;
 
 void write_ids(std::ostream& os, const IdSet& ids) {
   bool first = true;
@@ -77,9 +74,9 @@ bool take_field(std::string& rest, const char* name, std::string& value) {
 }  // namespace
 
 std::optional<ActionKind> action_kind_from_string(const std::string& name) {
-  // The kinds are numbered densely, kAddNodes through kGrowMap.
+  // The kinds are numbered densely, kAddNodes through kResumeNodes.
   for (auto k = static_cast<int>(ActionKind::kAddNodes);
-       k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
+       k <= static_cast<int>(ActionKind::kResumeNodes); ++k) {
     if (name == to_string(static_cast<ActionKind>(k))) {
       return static_cast<ActionKind>(k);
     }
@@ -100,9 +97,6 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
   os << "corrupt_prob " << prob << '\n';
   os << "exhaust_bound " << spec.exhaust_bound << '\n';
   os << "adversarial " << (spec.adversarial ? 1 : 0) << '\n';
-  // Multi-fleet fields only when set, so one-fleet specs keep their bytes.
-  if (spec.shards != 1) os << "shards " << spec.shards << '\n';
-  if (spec.map_shards != 0) os << "map_shards " << spec.map_shards << '\n';
   for (const Phase& phase : spec.phases) {
     os << "phase " << phase.name << '\n';
     for (const Action& a : phase.actions) {
@@ -110,9 +104,8 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
       write_ids(os, a.targets);
       os << " group=";
       write_ids(os, a.group_b);
-      os << " n=" << a.n << " duration=" << a.duration;
-      if (a.shard != 0) os << " shard=" << a.shard;
-      os << " reg=" << a.reg << '\n';
+      os << " n=" << a.n << " duration=" << a.duration << " reg=" << a.reg
+         << '\n';
     }
   }
   os << "end\n";
@@ -158,11 +151,6 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!parse_uint(rest, spec.exhaust_bound)) return std::nullopt;
     } else if (key == "adversarial") {
       if (!parse_flag(rest, spec.adversarial)) return std::nullopt;
-    } else if (key == "shards" || key == "map_shards") {
-      std::uint64_t v = 0;
-      if (!parse_uint(rest, v) || v > kMaxShards) return std::nullopt;
-      (key == "shards" ? spec.shards : spec.map_shards) =
-          static_cast<std::uint32_t>(v);
     } else if (key == "phase") {
       spec.phases.push_back(Phase{rest, {}});
       phase = &spec.phases.back();
@@ -189,13 +177,6 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
         return std::nullopt;
       }
       a.duration = static_cast<SimTime>(dur);
-      if (take_field(rest, "shard", field)) {
-        std::uint64_t shard = 0;
-        if (!parse_uint(field, shard) || shard >= kMaxShards) {
-          return std::nullopt;
-        }
-        a.shard = static_cast<std::uint32_t>(shard);
-      }
       // reg= runs to the end of the line.
       const std::string tag = "reg=";
       if (rest.rfind(tag, 0) != 0) return std::nullopt;
@@ -207,8 +188,8 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       return std::nullopt;
     }
   }
-  // Spec files are outside input: every fleet and node they name must
-  // exist.
+  // Spec files are outside input: every node they name must exist, and
+  // they may mint no more nodes than the paper's N.
   if (!ended || spec.name.empty() || !spec_references_valid(spec)) {
     return std::nullopt;
   }

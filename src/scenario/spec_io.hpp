@@ -12,9 +12,8 @@ namespace ssr::scenario {
 /// counterexamples are shrunk to a minimal spec and saved with save_spec;
 /// `scenario_runner --spec FILE` (and the CI artifact flow) reproduce them
 /// with load_spec. The rendering is canonical — field order fixed, every
-/// one-fleet field always present, the multi-fleet ones only when set — so
-/// two equal specs serialize byte-identically (the fuzzer determinism test
-/// compares renderings directly).
+/// field always present — so two equal specs serialize byte-identically
+/// (the fuzzer determinism test compares renderings directly).
 ///
 ///   ssrspec v1
 ///   name <token>
@@ -26,11 +25,8 @@ namespace ssr::scenario {
 ///   corrupt_prob <%.17g double>
 ///   exhaust_bound <u64>
 ///   adversarial <0|1>
-///   shards <N>                 only when != 1
-///   map_shards <N>             only when != 0
 ///   phase <rest of line>
-///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> [shard=<s>]
-///          reg=<rest>          (one line; shard= only when != 0)
+///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> reg=<rest>
 ///   ...
 ///   end
 void save_spec(std::ostream& os, const ScenarioSpec& spec);
@@ -39,7 +35,7 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec);
 std::string spec_to_string(const ScenarioSpec& spec);
 
 /// Parses the save_spec format; nullopt on any malformed or unknown line,
-/// and on a spec naming a fleet or node it does not have
+/// and on a spec naming a node it does not have or minting more than N
 /// (spec_references_valid).
 std::optional<ScenarioSpec> load_spec(std::istream& is);
 

@@ -55,7 +55,7 @@ TEST(UdpTransport, HostileDatagramSweepCountsCleanDrops) {
   to.sin_family = AF_INET;
   to.sin_port = htons(t.local_port());
   to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const wire::Bytes good = Session::encode_envelope(0, 5, 1, {1, 2, 3});
+  const wire::Bytes good = Session::encode_envelope(5, 1, {1, 2, 3});
 
   // One datagram per magic/version-byte bit flip (all must drop as
   // malformed — a flipped src/dst would decode fine), plus two truncations.
@@ -97,36 +97,6 @@ TEST(UdpTransport, HostileDatagramSweepCountsCleanDrops) {
     t.poll_once(kMsec);
   }
   EXPECT_EQ(delivered, 1u);
-}
-
-// Two fleets on one host, same node ids, different shard tags: traffic
-// stamped for shard 1 must never reach a shard-0 node even when an address
-// book entry (mis)routes it there — and the drop is visible in stats, not
-// silent. Within the same shard, the tag is pass-through.
-TEST(UdpTransport, ForeignShardTrafficIsFilteredBeforeDelivery) {
-  UdpTransportConfig cfg_a = self_only(1);      // shard 0 (default)
-  UdpTransportConfig cfg_b = self_only(1);
-  cfg_b.shard = 1;
-  UdpTransport a(cfg_a), b(cfg_b);
-  // Deliberate cross-shard misconfiguration: a routes "node 1" to b.
-  a.set_peer(1, UdpEndpoint{"127.0.0.1", b.local_port()});
-  std::size_t b_got = 0;
-  b.attach(1, [&](const Packet&) { ++b_got; });
-
-  a.send(1, 1, wire::Bytes{42});
-  pump(a, b, [&] { return b.stats().dropped_wrong_shard >= 1; }, 2000);
-  EXPECT_EQ(b.stats().dropped_wrong_shard, 1u);
-  EXPECT_EQ(b.stats().received, 0u);
-  EXPECT_EQ(b_got, 0u);
-
-  // Same-shard traffic with an explicit tag flows normally.
-  UdpTransportConfig cfg_c = self_only(2);
-  cfg_c.shard = 1;
-  UdpTransport c(cfg_c);
-  c.set_peer(1, UdpEndpoint{"127.0.0.1", b.local_port()});
-  c.send(2, 1, wire::Bytes{7});
-  EXPECT_TRUE(pump(c, b, [&] { return b_got >= 1; }, 2000));
-  EXPECT_EQ(b.stats().received, 1u);
 }
 
 TEST(UdpTransport, BlockedPeerFilterCutsBothDirections) {
@@ -247,11 +217,11 @@ TEST(UdpTransport, CorruptedDatagramsAreDroppedNotFatal) {
   to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   const wire::Bytes junk{0xFF, 0x00, 0xAB, 0xCD, 0xEF, 0x12, 0x34};
   const wire::Bytes truncated = [&] {
-    wire::Bytes env = Session::encode_envelope(0, 5, 1, {1, 2, 3});
+    wire::Bytes env = Session::encode_envelope(5, 1, {1, 2, 3});
     env.resize(env.size() - 2);
     return env;
   }();
-  const wire::Bytes unknown_dst = Session::encode_envelope(0, 5, 99, {1});
+  const wire::Bytes unknown_dst = Session::encode_envelope(5, 99, {1});
   for (const wire::Bytes* d : {&junk, &truncated, &unknown_dst}) {
     ASSERT_EQ(::sendto(raw, d->data(), d->size(), 0,
                        reinterpret_cast<sockaddr*>(&to), sizeof(to)),

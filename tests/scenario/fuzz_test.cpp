@@ -33,8 +33,7 @@ TEST(Fuzzer, GenerationIsSeedPure) {
   }
   // Different indices actually explore different shapes.
   EXPECT_EQ(renderings.size(), 16u);
-  // The CI seed block is pinned: a library entry the splice may not draw
-  // from (a multi-fleet spec) or a new action kind must not move a fixed-
+  // The CI seed block is pinned: a new action kind must not move a fixed-
   // seed campaign, or every recorded counterexample stops reproducing.
   EXPECT_EQ(TraceRecorder::digest(campaign), 0xd38284005f4106c4ULL);
 
@@ -93,14 +92,11 @@ TEST(Fuzzer, SpecReferencesValidTracksMintedIds) {
   s.phases[0].actions = {A::crash({0})};
   EXPECT_FALSE(spec_references_valid(s));  // ids are 1-based
 
-  // Each fleet mints its own ids, and an action names an existing fleet.
-  s.shards = 2;
-  s.phases[0].actions = {A::add_nodes(1).on_shard(1),
-                         A::crash({4}).on_shard(1)};
+  // At most the paper's N = 64 ids over the whole run.
+  s.initial_nodes = 64;
+  s.phases[0].actions = {A::crash({64})};
   EXPECT_TRUE(spec_references_valid(s));
-  s.phases[0].actions = {A::add_nodes(1).on_shard(1), A::crash({4})};
-  EXPECT_FALSE(spec_references_valid(s));
-  s.phases[0].actions = {A::crash({1}).on_shard(2)};
+  s.phases[0].actions = {A::reboot({64})};
   EXPECT_FALSE(spec_references_valid(s));
 }
 

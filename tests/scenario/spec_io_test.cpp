@@ -52,27 +52,6 @@ ScenarioSpec kitchen_sink() {
           A::resume_nodes({3}),
           A::crash_all(),
           A::await_quiescent(30 * kSec),
-          A::keyed_increments(4, "key prefix"),
-          // grow_map needs a fleet beyond the initial map: three_fleets().
-      }});
-  return s;
-}
-
-ScenarioSpec three_fleets() {
-  ScenarioSpec s;
-  s.name = "three-fleets";
-  s.description = "fleet-scoped actions over a 2-of-3 shard map";
-  s.shards = 3;
-  s.map_shards = 2;
-  s.phases.push_back(Phase{
-      "sharded",
-      {
-          A::await_converged(60 * kSec),
-          A::crash({1}).on_shard(2),
-          A::pause_nodes({1, 2, 3}).on_shard(1),
-          A::keyed_increments(6, "k"),
-          A::grow_map(),
-          A::shmem_write({2}, "reg", 7).on_shard(2),
       }});
   return s;
 }
@@ -106,7 +85,6 @@ TEST(SpecIo, RoundTripsEveryActionKind) {
       EXPECT_EQ(la[i].n, oa[i].n) << "action " << i;
       EXPECT_EQ(la[i].duration, oa[i].duration) << "action " << i;
       EXPECT_EQ(la[i].reg, oa[i].reg) << "action " << i;
-      EXPECT_EQ(la[i].shard, oa[i].shard) << "action " << i;
     }
   }
 
@@ -124,7 +102,7 @@ TEST(SpecIo, LibrarySpecsRoundTrip) {
 }
 
 TEST(SpecIo, ActionKindNamesRoundTrip) {
-  for (int k = 1; k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
+  for (int k = 1; k <= static_cast<int>(ActionKind::kResumeNodes); ++k) {
     const auto kind = static_cast<ActionKind>(k);
     const auto parsed = action_kind_from_string(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
@@ -160,58 +138,26 @@ TEST(SpecIo, RejectsMalformedInput) {
   EXPECT_FALSE(rejects(good));
 }
 
-TEST(SpecIo, MultiFleetSpecRoundTrips) {
-  const ScenarioSpec original = three_fleets();
-  const std::string text = spec_to_string(original);
-  // Multi-fleet fields appear only when set; one-fleet renderings (every
-  // saved counterexample) keep their bytes.
-  EXPECT_NE(text.find("\nshards 3\nmap_shards 2\n"), std::string::npos);
-  EXPECT_NE(text.find(" shard=2 reg=reg\n"), std::string::npos) << text;
-  EXPECT_EQ(spec_to_string(kitchen_sink()).find("shard"), std::string::npos);
-
-  std::istringstream in(text);
-  const auto loaded = load_spec(in);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->shards, 3u);
-  EXPECT_EQ(loaded->map_shards, 2u);
-  const auto& actions = loaded->phases.at(0).actions;
-  ASSERT_EQ(actions.size(), original.phases[0].actions.size());
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    EXPECT_EQ(actions[i].kind, original.phases[0].actions[i].kind) << i;
-    EXPECT_EQ(actions[i].shard, original.phases[0].actions[i].shard) << i;
-  }
-  EXPECT_EQ(spec_to_string(*loaded), text);
-}
-
-TEST(SpecIo, RejectsFleetsTheSpecDoesNotHave) {
+// Multi-fleet specs are retired: a counterexample saved with the old
+// syntax must fail to load, not run silently as one fleet.
+TEST(SpecIo, RejectsTheRetiredMultiFleetSyntax) {
   const auto rejects = [](const std::string& text) {
     std::istringstream in(text);
     return !load_spec(in).has_value();
   };
   const std::string head = "ssrspec v1\nname x\nnodes 3\n";
-  const std::string crash_on =
-      "phase p\naction crash targets=1 group= n=0 duration=0 shard=";
-  EXPECT_FALSE(rejects(head + "shards 2\n" + crash_on + "1 reg=\nend\n"));
-  // shard >= shards, including the implicit one-fleet default.
-  EXPECT_TRUE(rejects(head + "shards 2\n" + crash_on + "2 reg=\nend\n"));
-  EXPECT_TRUE(rejects(head + crash_on + "1 reg=\nend\n"));
-  // An initial map wider than the fleets, no fleets at all, absurd counts.
-  EXPECT_TRUE(rejects(head + "shards 2\nmap_shards 3\nend\n"));
-  EXPECT_TRUE(rejects(head + "shards 0\nend\n"));
-  EXPECT_TRUE(rejects(head + "shards 99999999999\nend\n"));
-  EXPECT_TRUE(rejects(head + "shards 2\n" + crash_on + "x reg=\nend\n"));
-  // Every grow_map widens the map by one fleet, which must exist too.
-  const std::string grow =
-      "action grow_map targets= group= n=0 duration=0 reg=\n";
-  const std::string keyed =
-      "action keyed_increments targets= group= n=2 duration=0 reg=k\n";
-  EXPECT_FALSE(rejects(head + "shards 2\nmap_shards 1\nphase p\n" + grow +
-                       keyed + "end\n"));
-  EXPECT_TRUE(rejects(head + "phase p\n" + grow + keyed + keyed + "end\n"));
-  EXPECT_TRUE(rejects(head + "shards 2\nphase p\n" + keyed + grow +
-                      "end\n"));
-  EXPECT_TRUE(rejects(head + "shards 3\nmap_shards 1\nphase p\n" + grow +
-                      keyed + grow + grow + keyed + "end\n"));
+  const std::string crash =
+      "phase p\naction crash targets=1 group= n=0 duration=0 ";
+  EXPECT_FALSE(rejects(head + crash + "reg=\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\n" + crash + "reg=\nend\n"));
+  EXPECT_TRUE(rejects(head + "map_shards 1\n" + crash + "reg=\nend\n"));
+  EXPECT_TRUE(rejects(head + crash + "shard=1 reg=\nend\n"));
+  EXPECT_TRUE(rejects(head +
+                      "phase p\naction keyed_increments targets= group= "
+                      "n=2 duration=0 reg=k\nend\n"));
+  EXPECT_TRUE(rejects(head +
+                      "phase p\naction grow_map targets= group= n=0 "
+                      "duration=0 reg=\nend\n"));
 }
 
 TEST(SpecIo, RejectsNodesTheFleetNeverCreates) {
@@ -233,17 +179,40 @@ TEST(SpecIo, RejectsNodesTheFleetNeverCreates) {
   EXPECT_FALSE(rejects(head +
                        "action corrupt_recsa targets=3 group= n=0 "
                        "duration=0 reg=\nend\n"));
-  // Ids are counted per fleet: add_nodes on fleet 1 mints 4 there only.
-  const std::string two = "ssrspec v1\nname x\nnodes 3\nshards 2\n"
-                          "phase p\n"
-                          "action add_nodes targets= group= n=1 duration=0 "
-                          "shard=1 reg=\n";
-  EXPECT_FALSE(rejects(two +
-                       "action crash targets=4 group= n=0 duration=0 "
-                       "shard=1 reg=\nend\n"));
-  EXPECT_TRUE(rejects(two +
-                      "action crash targets=4 group= n=0 duration=0 "
-                      "reg=\nend\n"));
+  // An id exists once add_nodes has minted it, not before.
+  const std::string crash_4 =
+      "action crash targets=4 group= n=0 duration=0 reg=\n";
+  EXPECT_TRUE(rejects(head + crash_4 + "end\n"));
+  EXPECT_FALSE(rejects(head +
+                       "action add_nodes targets= group= n=1 duration=0 "
+                       "reg=\n" +
+                       crash_4 + "end\n"));
+}
+
+// Every minted id is a whole protocol stack (a daemon under the process
+// backend), so a spec file may mint at most the paper's N = 64 ids over its
+// run: the initial cohort, each add_nodes unit and each reboot target.
+// None of these specs is ever run.
+TEST(SpecIo, BoundsTheIdsASpecMints) {
+  const auto loads = [](const std::string& body) {
+    std::istringstream in("ssrspec v1\nname x\n" + body);
+    return load_spec(in).has_value();
+  };
+  const auto add = [](const std::string& n) {
+    return "action add_nodes targets= group= n=" + n + " duration=0 reg=\n";
+  };
+  EXPECT_TRUE(loads("nodes 64\nend\n"));
+  EXPECT_TRUE(loads("nodes 3\nphase p\n" + add("61") + "end\n"));
+  EXPECT_FALSE(loads("nodes 65\nend\n"));
+  EXPECT_FALSE(loads("nodes 3\nphase p\n" + add("62") + "end\n"));
+  // A reboot mints one id per target.
+  const std::string reboot =
+      "action reboot targets=1,2 group= n=0 duration=0 reg=\n";
+  EXPECT_TRUE(loads("nodes 3\nphase p\n" + add("59") + reboot + "end\n"));
+  EXPECT_FALSE(loads("nodes 3\nphase p\n" + add("60") + reboot + "end\n"));
+  // A count near 2^64 must not wrap the tally back under the bound.
+  EXPECT_FALSE(
+      loads("nodes 3\nphase p\n" + add("18446744073709551615") + "end\n"));
 }
 
 TEST(SpecIo, FileRoundTrip) {

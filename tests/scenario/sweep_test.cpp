@@ -1,9 +1,9 @@
 // SweepRunner determinism property: a parallel sweep is the same computation
-// as a serial one. jobs=1 and jobs=4 over 4 scenarios (one of them three
-// lockstep fleets) × seeds 1..20 must agree on every per-(scenario, seed)
-// trace hash, event count and end time, and both must report in submission
-// order. Plus unit coverage of add()/add_seed_range() and the merged
-// summary.
+// as a serial one. jobs=1 and jobs=4 over 4 scenarios (one of them a client
+// workload over the VS layer) × seeds 1..20 must agree on every
+// per-(scenario, seed) trace hash, event count and end time, and both must
+// report in submission order. Plus unit coverage of add()/add_seed_range()
+// and the merged summary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,7 @@ namespace {
 
 constexpr const char* kScenarios[] = {"majority-split", "epoch-rollover",
                                       "garbage-channel-recovery",
-                                      "sharded-map-growth"};
+                                      "vs-workload"};
 constexpr std::uint64_t kFirstSeed = 1;
 constexpr std::uint64_t kLastSeed = 20;
 

@@ -22,16 +22,10 @@ def load(path):
         doc = json.load(f)
     return (
         {s["name"]: s for s in doc.get("scenarios", [])},
-        {s["shards"]: s for s in doc.get("sharded_throughput", [])},
         {s["batch"]: s for s in doc.get("udp_batch", [])},
         {s["jobs"]: s for s in doc.get("sweep", [])},
     )
 
-
-# Shared-nothing scaling floors for --check-shard-scaling: aggregate
-# capacity (CPU-time normalized, so stable on shared runners) must reach
-# these multiples of the 1-shard run.
-SHARD_SCALING_FLOORS = {2: 1.6, 4: 2.5}
 
 # Syscall-batching floors for --check-udp-batch, on the candidate's batched
 # udp_batch rows (batch > 1). The hard contract is coalescing: the sendmmsg
@@ -49,9 +43,8 @@ UDP_BATCH_MIN_SPEEDUP = 1.05
 
 # Sweep-engine scaling floors for --check-sweep-scaling: the parallel
 # (spec, seed) sweep shares nothing between jobs, so aggregate capacity
-# (CPU-time normalized by the slowest worker, like the shard floors — and
-# for the same reason: stable on 1-core shared runners) must reach these
-# multiples of the jobs=1 run.
+# (CPU-time normalized by the slowest worker, so stable on 1-core shared
+# runners) must reach these multiples of the jobs=1 run.
 SWEEP_SCALING_FLOORS = {2: 1.5, 4: 2.0}
 
 
@@ -65,12 +58,6 @@ def main():
         default=None,
         metavar="FACTOR",
         help="fail when events/sec drops by more than FACTOR on any scenario",
-    )
-    ap.add_argument(
-        "--check-shard-scaling",
-        action="store_true",
-        help="fail unless the candidate's sharded throughput reaches "
-        + ", ".join(f"{v}x at {k} shards" for k, v in SHARD_SCALING_FLOORS.items()),
     )
     ap.add_argument(
         "--check-udp-batch",
@@ -87,12 +74,11 @@ def main():
     )
     args = ap.parse_args()
 
-    base, base_sharded, base_udp, base_sweep = load(args.baseline)
-    cand, cand_sharded, cand_udp, cand_sweep = load(args.candidate)
+    base, base_udp, base_sweep = load(args.baseline)
+    cand, cand_udp, cand_sweep = load(args.candidate)
 
     rows = []
     failed = []
-    scaling_failed = []
     for name in sorted(set(base) | set(cand)):
         b = base.get(name)
         c = cand.get(name)
@@ -113,26 +99,6 @@ def main():
             print(f"{name:<28} {'—':>14} {'—':>15}   (missing in {side})")
         else:
             print(f"{name:<28} {b:>14,.0f} {c:>15,.0f} {speedup:>7.2f}x")
-
-    if base_sharded or cand_sharded:
-        print()
-        print(
-            f"{'sharded throughput':<28} {'baseline ev/cpu-s':>18} "
-            f"{'candidate ev/cpu-s':>19} {'cand scaling':>13}"
-        )
-        for shards in sorted(set(base_sharded) | set(cand_sharded)):
-            b_eps = base_sharded.get(shards, {}).get("agg_events_per_cpu_sec")
-            c_eps = cand_sharded.get(shards, {}).get("agg_events_per_cpu_sec")
-            scaling = cand_sharded.get(shards, {}).get("speedup_vs_1shard")
-            b_col = f"{b_eps:,.0f}" if b_eps is not None else "—"
-            c_col = f"{c_eps:,.0f}" if c_eps is not None else "—"
-            s_col = f"{scaling:.2f}x" if scaling is not None else "—"
-            print(f"{f'{shards} shard(s)':<28} {b_col:>18} {c_col:>19} {s_col:>13}")
-        if args.check_shard_scaling:
-            for shards, floor in SHARD_SCALING_FLOORS.items():
-                got = cand_sharded.get(shards, {}).get("speedup_vs_1shard", 0.0)
-                if got < floor:
-                    scaling_failed.append((shards, got, floor))
 
     sweep_failed = []
     if base_sweep or cand_sweep:
@@ -201,12 +167,6 @@ def main():
             f"(threshold {1.0 / args.max_regress:.2f}x)",
             file=sys.stderr,
         )
-    for shards, got, floor in scaling_failed:
-        print(
-            f"SCALING: {shards} shards reached {got:.2f}x of the 1-shard "
-            f"aggregate (floor {floor}x)",
-            file=sys.stderr,
-        )
     for jobs, got, floor in sweep_failed:
         if jobs == 0:
             print("SWEEP: candidate has no sweep section", file=sys.stderr)
@@ -218,7 +178,7 @@ def main():
             )
     for msg in udp_failed:
         print(f"UDP-BATCH: {msg}", file=sys.stderr)
-    return 1 if failed or scaling_failed or udp_failed or sweep_failed else 0
+    return 1 if failed or udp_failed or sweep_failed else 0
 
 
 if __name__ == "__main__":

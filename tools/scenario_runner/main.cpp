@@ -3,14 +3,12 @@
 //
 //   scenario_runner --list                 enumerate scenarios
 //   scenario_runner --run NAME [--run NAME2 ...] [--seed N]
-//   scenario_runner --all [--seed N]       run every scenario, the
-//                                          multi-fleet (sharded) ones too
+//   scenario_runner --all [--seed N]       run every scenario
 //   scenario_runner --spec FILE            run a spec_io file (the fuzzer's
 //                                          counterexample format)
 //   scenario_runner --adversary            force worst-case delivery
 //                                          scheduling on the selected specs
 //   scenario_runner --trace K              also dump the first K trace events
-//                                          (fleet 0's, for a sharded spec)
 //
 // Backend selection:
 //   --backend sim            deterministic in-process simulator (default)
@@ -21,12 +19,7 @@
 //   --work-dir DIR           scratch/log directory (default: mkdtemp)
 //   --keep-logs              keep the scratch directory even on success
 //
-// A spec with shards > 1 runs K fleets side by side (one quorum group each,
-// one keyed workload routed across them); its summary adds one line per
-// fleet.
-//
-// Trace tooling (simulator backend, single --run, one-fleet specs only — a
-// multi-fleet run has one trace per fleet):
+// Trace tooling (simulator backend, single --run):
 //   --record FILE            save the trace event stream + hash to FILE
 //   --diff FILE              re-run and report the first event where the
 //                            current trace diverges from the recorded one
@@ -38,8 +31,7 @@
 //                            serial run at any --jobs
 //   --jobs N                 worker threads (default 1)
 //   --seeds A..B             inclusive seed range (default: --seed alone)
-//   --record-dir DIR         save one trace file per job into DIR (one-fleet
-//                            specs only)
+//   --record-dir DIR         save one trace file per job into DIR
 //
 // Exit status: 0 when every run met its awaits with zero invariant
 // violations (and, under --diff, the traces match), 1 otherwise (2 on
@@ -91,11 +83,7 @@ struct CliOptions {
 
 void list_scenarios() {
   for (const auto& s : library()) {
-    const std::string nodes =
-        s.shards == 1 ? std::to_string(s.initial_nodes) + " nodes"
-                      : std::to_string(s.shards) + "x" +
-                            std::to_string(s.initial_nodes) + " nodes";
-    std::printf("%-26s %s%s  %s\n", s.name.c_str(), nodes.c_str(),
+    std::printf("%-26s %zu nodes%s  %s\n", s.name.c_str(), s.initial_nodes,
                 s.enable_vs ? " +vs" : "    ", s.description.c_str());
   }
 }
@@ -231,19 +219,18 @@ int usage() {
       "  --adversary       force worst-case delivery scheduling on every\n"
       "                    selected spec (sim backend)\n"
       "  --seed N          runner seed (default 1)\n"
-      "  --trace K         dump the first K trace events (fleet 0's)\n"
+      "  --trace K         dump the first K trace events\n"
       "  --backend B       sim (default) | process\n"
       "  --node-bin PATH   ssr_node binary (process backend)\n"
       "  --time-scale X    wall seconds per sim second (process backend)\n"
       "  --work-dir DIR    scratch/log dir (process backend)\n"
       "  --keep-logs       keep the scratch dir on success too\n"
-      "  --record FILE     save the trace stream (single one-fleet --run)\n"
+      "  --record FILE     save the trace stream (single --run)\n"
       "  --diff FILE       compare against a recorded trace (likewise)\n"
       "  --sweep           run scenarios x seeds on a worker pool (sim)\n"
       "  --jobs N          sweep worker threads (default 1)\n"
       "  --seeds A..B      inclusive sweep seed range (default: --seed)\n"
-      "  --record-dir DIR  save one trace file per sweep job into DIR\n"
-      "                    (one-fleet specs only)\n");
+      "  --record-dir DIR  save one trace file per sweep job into DIR\n");
   return 2;
 }
 
@@ -414,19 +401,8 @@ int main(int argc, char** argv) {
       specs.push_back(*spec);
     }
   }
-  for (ScenarioSpec& spec : specs) {
-    if (cli.adversary) spec.adversarial = true;
-    if (spec.shards > 1 && (!cli.record_path.empty() ||
-                            !cli.diff_path.empty() ||
-                            !cli.record_dir.empty())) {
-      // A multi-fleet run has one trace per fleet, not one recordable
-      // stream.
-      std::fprintf(stderr,
-                   "--record/--diff/--record-dir do not apply to '%s' "
-                   "(%u fleets)\n",
-                   spec.name.c_str(), spec.shards);
-      return 2;
-    }
+  if (cli.adversary) {
+    for (ScenarioSpec& spec : specs) spec.adversarial = true;
   }
   if (cli.sweep) return run_sweep_mode(specs, cli) ? 0 : 1;
   bool ok = true;

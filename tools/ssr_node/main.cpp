@@ -2,8 +2,7 @@
 //
 //   ssr_node --id N --peers FILE [--seconds S] [--increments K]
 //            [--tick-us T] [--vs] [--seed R] [--aggressive]
-//            [--adopt-joiners] [--exhaust-bound B] [--shard S]
-//            [--port-file FILE]
+//            [--adopt-joiners] [--exhaust-bound B] [--port-file FILE]
 //
 // FILE holds one "id host port" triple per line ('#' starts a comment);
 // the entry matching --id is the local bind address. Port 0 anywhere means
@@ -83,7 +82,6 @@ struct Options {
   std::uint64_t tick_us = 5000;
   std::uint64_t seed = 0;  // 0 = derive from id
   std::uint64_t exhaust_bound = 0;  // 0 = keep the counter default
-  std::uint32_t shard = 0;  // envelope shard tag (sharded deployments)
   bool enable_vs = false;
   bool aggressive = false;
   bool adopt_joiners = false;
@@ -94,8 +92,7 @@ int usage() {
                "usage: ssr_node --id N --peers FILE [--seconds S=60]\n"
                "                [--increments K=0] [--tick-us T=5000] [--vs]\n"
                "                [--seed R] [--aggressive] [--adopt-joiners]\n"
-               "                [--exhaust-bound B] [--shard S]"
-               " [--port-file FILE]\n");
+               "                [--exhaust-bound B] [--port-file FILE]\n");
   return 2;
 }
 
@@ -166,8 +163,8 @@ class Daemon {
     IdSet seed_peers = all_ids_;
     seed_peers.erase(opt_.id);
     node_->start(seed_peers);
-    std::printf("SSR_NODE_START id=%u shard=%u port=%u control=%u peers=%s\n",
-                opt_.id, opt_.shard, transport_.local_port(), control_.port(),
+    std::printf("SSR_NODE_START id=%u port=%u control=%u peers=%s\n", opt_.id,
+                transport_.local_port(), control_.port(),
                 seed_peers.to_string().c_str());
     std::fflush(stdout);
     if (!opt_.port_file.empty()) {
@@ -322,15 +319,14 @@ class Daemon {
     const net::UdpTransport::Stats& ts = transport_.stats();
     std::ostringstream os;
     os << ctl::format_snapshot(node::NodeSnapshot::of(*node_))
-       << " shard=" << transport_.config().shard << " t=" << transport_.now()
-       << " abs=" << steady_usec() << " cfgchanges=" << config_changes_
+       << " t=" << transport_.now() << " abs=" << steady_usec()
+       << " cfgchanges=" << config_changes_
        << " trusted=" << ctl::format_ids(node_->failure_detector().trusted())
        << " incq=" << pending_increments_ << " incdone=" << increments_done_
        << " incabort=" << increments_aborted_
        << " shmq=" << shmem_queue_.size() << " shmok=" << shmem_ok_
        << " shmfail=" << shmem_failed_ << " sent=" << ts.sent
        << " recv=" << ts.received << " malformed=" << ts.dropped_malformed
-       << " wrongshard=" << ts.dropped_wrong_shard
        << " filtin=" << ts.filtered_in << " filtout=" << ts.filtered_out
        << " syscalls=" << ts.send_syscalls + ts.recv_syscalls
        << " batched=" << ts.batched_sends << " noroute=" << ts.no_route
@@ -483,9 +479,6 @@ int main(int argc, char** argv) {
       opt.tick_us = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--seed" && i + 1 < argc) {
       opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--shard" && i + 1 < argc) {
-      opt.shard = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--exhaust-bound" && i + 1 < argc) {
       opt.exhaust_bound = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--vs") {
@@ -518,7 +511,6 @@ int main(int argc, char** argv) {
   net::UdpTransportConfig tcfg;
   tcfg.self = opt.id;
   tcfg.peers = *peers;
-  tcfg.shard = opt.shard;
   ssr::IdSet all_ids;
   for (const auto& [id, ep] : *peers) {
     (void)ep;
