@@ -172,6 +172,9 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!take_field(rest, "n", field) || !parse_uint(field, a.n)) {
         return std::nullopt;
       }
+      const bool n_counts = a.kind == ActionKind::kGarbageChannels ||
+                            a.kind == ActionKind::kIncrementBurst;
+      if (n_counts && a.n > kMaxSpecActionCount) return std::nullopt;
       std::uint64_t dur = 0;
       if (!take_field(rest, "duration", field) || !parse_uint(field, dur)) {
         return std::nullopt;

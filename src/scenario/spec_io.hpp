@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -34,9 +35,16 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec);
 /// Convenience: the canonical rendering as a string (what save_spec emits).
 std::string spec_to_string(const ScenarioSpec& spec);
 
+/// The largest `n=` that load_spec accepts where `n` counts actions to
+/// take: garbage packets per channel (garbage_channels) and increments per
+/// node (increment_burst). Each costs work linear in `n`; the library and
+/// the fuzzer ask for at most 3. Where `n` is a value rather than a count
+/// (plant_exhausted_counter, shmem_write's salt) it stays unbounded.
+inline constexpr std::uint64_t kMaxSpecActionCount = 1000;
+
 /// Parses the save_spec format; nullopt on any malformed or unknown line,
-/// and on a spec naming a node it does not have or minting more than N
-/// (spec_references_valid).
+/// on an action count above kMaxSpecActionCount, and on a spec naming a
+/// node it does not have or minting more than N (spec_references_valid).
 std::optional<ScenarioSpec> load_spec(std::istream& is);
 
 /// File-path convenience wrappers. save returns false when the file cannot

@@ -4,7 +4,9 @@
 // byte-identically, which the fuzzer determinism test compares directly.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "scenario/library.hpp"
 #include "scenario/spec_io.hpp"
@@ -213,6 +215,31 @@ TEST(SpecIo, BoundsTheIdsASpecMints) {
   // A count near 2^64 must not wrap the tally back under the bound.
   EXPECT_FALSE(
       loads("nodes 3\nphase p\n" + add("18446744073709551615") + "end\n"));
+}
+
+// Where `n=` counts actions to take, each costing work, a spec file may ask
+// for at most kMaxSpecActionCount of them; where it is a value, any u64.
+// None of these specs is ever run.
+TEST(SpecIo, BoundsTheActionCountsASpecAsksFor) {
+  const auto loads = [](const std::string& kind, std::uint64_t n) {
+    std::istringstream in("ssrspec v1\nname x\nnodes 3\nphase p\naction " +
+                          kind + " targets= group= n=" + std::to_string(n) +
+                          " duration=0 reg=x\nend\n");
+    return load_spec(in).has_value();
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const char* kind : {"garbage_channels", "increment_burst"}) {
+    EXPECT_TRUE(loads(kind, kMaxSpecActionCount)) << kind;
+    EXPECT_FALSE(loads(kind, kMaxSpecActionCount + 1)) << kind;
+    EXPECT_FALSE(loads(kind, kMax)) << kind;
+  }
+  EXPECT_TRUE(loads("shmem_write", kMax));
+  // The library plants a counter at 2^20 + 5; any value loads.
+  std::istringstream planted(
+      "ssrspec v1\nname x\nnodes 3\nphase p\naction "
+      "plant_exhausted_counter targets=1 group= n=18446744073709551615 "
+      "duration=0 reg=\nend\n");
+  EXPECT_TRUE(load_spec(planted).has_value());
 }
 
 TEST(SpecIo, FileRoundTrip) {
