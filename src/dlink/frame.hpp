@@ -28,13 +28,16 @@ enum class FrameKind : std::uint8_t {
   kClean = 3,     // sender → receiver: snap-stabilizing cleaning probe
   kCleanAck = 4,  // receiver → sender
   kReclean = 5,   // receiver → sender: still quarantined, clean again
+  kDataAck = 6,   // both links in one packet: a kData of link
+                  // `link_sender` → peer and a kAck of the reverse link
 };
 
 struct Frame {
   FrameKind kind = FrameKind::kData;
   NodeId link_sender = kNoNode;  // identifies which directed link
   std::uint8_t label = 0;        // bounded ARQ label / cleaning nonce
-  wire::Bytes payload;           // bundle bytes (kData only)
+  std::uint8_t ack_label = 0;    // kDataAck only: the reverse link's label
+  wire::Bytes payload;           // bundle bytes (kData and kDataAck)
 
   wire::Bytes encode() const;
   static std::optional<Frame> decode(const wire::Bytes& raw);

@@ -11,20 +11,22 @@ namespace ssr::dlink {
 LinkConfig LinkConfig::for_channel(const net::ChannelConfig& ch) {
   LinkConfig cfg;
   const SimTime round_trip = ch.min_delay + ch.max_delay;
-  cfg.retransmit_period =
-      std::max<SimTime>(round_trip / std::max<std::size_t>(ch.capacity, 1), 1);
+  cfg.retransmit_period = std::max<SimTime>(
+      2 * round_trip / std::max<std::size_t>(ch.capacity, 1), 2);
   cfg.ack_threshold = 2 * ch.capacity + 1;
   cfg.clean_threshold = 2 * ch.capacity + 1;
+  cfg.piggyback_acks = true;
   return cfg;
 }
 
 wire::Bytes Frame::encode() const {
   wire::Writer w;
-  w.reserve(1 + 4 + 1 + 4 + payload.size() + 4);
+  w.reserve(1 + 4 + 1 + 1 + 4 + payload.size() + 4);
   w.u8(static_cast<std::uint8_t>(kind));
   w.node_id(link_sender);
   w.u8(label);
-  if (kind == FrameKind::kData) w.bytes(payload);
+  if (kind == FrameKind::kDataAck) w.u8(ack_label);
+  if (kind == FrameKind::kData || kind == FrameKind::kDataAck) w.bytes(payload);
   w.seal();
   return w.take();
 }
@@ -33,11 +35,14 @@ std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
   wire::Reader r(raw);
   Frame f;
   const std::uint8_t kind = r.u8();
-  if (kind < 1 || kind > 5) return std::nullopt;
+  if (kind < 1 || kind > 6) return std::nullopt;
   f.kind = static_cast<FrameKind>(kind);
   f.link_sender = r.node_id();
   f.label = r.u8();
-  if (f.kind == FrameKind::kData) f.payload = r.bytes();
+  if (f.kind == FrameKind::kDataAck) f.ack_label = r.u8();
+  if (f.kind == FrameKind::kData || f.kind == FrameKind::kDataAck) {
+    f.payload = r.bytes();
+  }
   // The seal (last u32) covers every preceding byte: a flipped bit in a
   // value field decodes structurally but not semantically — without this,
   // corrupt_probability runs can deliver a valid-looking message with
@@ -135,7 +140,7 @@ void TokenLink::on_timer() {
   arm_timer();
 }
 
-void TokenLink::transmit_current() {
+void TokenLink::transmit_current(std::optional<std::uint8_t> ack) {
   // Encoded in place (byte-identical to Frame::encode) so the every-round
   // retransmission neither copies tx_payload_ into a temporary Frame nor
   // allocates: the Writer buffer comes from the pool.
@@ -147,18 +152,20 @@ void TokenLink::transmit_current() {
   // lets the retransmit timer repair a corrupted sender, so caching sealed
   // frames is not a safe optimization.
   wire::Writer w;
-  w.reserve(1 + 4 + 1 + 4 + tx_payload_.size() + 4);
+  w.reserve(1 + 4 + 1 + 1 + 4 + tx_payload_.size() + 4);
   if (tx_state_ == TxState::kCleaning) {
     w.u8(static_cast<std::uint8_t>(FrameKind::kClean));
     w.node_id(self_);
     w.u8(clean_nonce_);
   } else {
-    w.u8(static_cast<std::uint8_t>(FrameKind::kData));
+    w.u8(static_cast<std::uint8_t>(ack ? FrameKind::kDataAck : FrameKind::kData));
     w.node_id(self_);
     w.u8(tx_label_);
+    if (ack) w.u8(*ack);
     w.bytes(tx_payload_);
   }
   w.seal();
+  last_copy_at_ = transport_.now();
   transport_.send(self_, peer_, w.take());
 }
 
@@ -168,63 +175,88 @@ void TokenLink::begin_round() {
   // The previous round's payload buffer feeds the next compose.
   wire::BufferPool::local().release(std::move(tx_payload_));
   tx_payload_ = compose_();
-  transmit_current();
+}
+
+bool TokenLink::count_ack(std::uint8_t label) {
+  if (tx_state_ != TxState::kRunning || label != tx_label_) return false;
+  if (++acks_seen_ <= cfg_.ack_threshold) return false;
+  ++stats_.rounds_completed;
+  heartbeat_();
+  begin_round();
+  return true;
+}
+
+void TokenLink::receive_data(const Frame& frame, bool round_began) {
+  if (!rx_clean_) {
+    // Paper §3.3: a fresh endpoint must not consume possibly-stale
+    // packets before the link is cleaned; the quarantine lifts only
+    // after more than the round-trip capacity of cleaning probes.
+    // A running sender may have counted a duplicated clean-ack and
+    // stopped probing one probe short of that, so ask it to clean
+    // again; otherwise it would send data that is discarded forever.
+    ++stats_.stale_discarded;
+    Frame reclean;
+    reclean.kind = FrameKind::kReclean;
+    reclean.link_sender = peer_;
+    reclean.label = frame.label;
+    transport_.send(self_, peer_, reclean.encode());
+    if (round_began) transmit_current();
+    return;
+  }
+  // The ack rides a copy of this side's current frame when the sender side
+  // runs and its last copy left at least the reply gap ago, or when this
+  // packet's own ack began a round whose first copy is due now anyway.
+  const bool reply_with_copy =
+      cfg_.piggyback_acks && tx_state_ == TxState::kRunning &&
+      (round_began ||
+       transport_.now() - last_copy_at_ >= cfg_.retransmit_period / 2);
+  if (reply_with_copy) {
+    transmit_current(frame.label);
+    arm_timer();  // the timer covers only replies that never come
+  } else {
+    Frame ack;
+    ack.kind = FrameKind::kAck;
+    ack.link_sender = peer_;  // names the link, i.e. its sender
+    ack.label = frame.label;
+    transport_.send(self_, peer_, ack.encode());
+    if (round_began) transmit_current();
+  }
+  const bool seen =
+      std::find(rx_recent_.begin(), rx_recent_.end(), frame.label) !=
+      rx_recent_.end();
+  if (!seen) {
+    // History shorter than the label domain (else fresh labels would be
+    // rejected) but long enough to cover reordered stragglers. The
+    // oldest label is dropped from the front.
+    if (rx_recent_.size() >= cfg_.label_domain / 2u)
+      rx_recent_.erase(rx_recent_.begin());
+    // ssr-lint: allow(hot-path-alloc): within the constructor's reserve.
+    rx_recent_.push_back(frame.label);
+    ++stats_.frames_delivered;
+    heartbeat_();
+    deliver_(frame.payload);
+  }
 }
 
 void TokenLink::handle_frame(const Frame& frame) {
   if (down_) return;
   switch (frame.kind) {
-    case FrameKind::kData: {
+    case FrameKind::kData:
       // Receiver side of link (peer → self).
       if (frame.link_sender != peer_) return;
-      if (!rx_clean_) {
-        // Paper §3.3: a fresh endpoint must not consume possibly-stale
-        // packets before the link is cleaned; the quarantine lifts only
-        // after more than the round-trip capacity of cleaning probes.
-        // A running sender may have counted a duplicated clean-ack and
-        // stopped probing one probe short of that, so ask it to clean
-        // again; otherwise it would send data that is discarded forever.
-        ++stats_.stale_discarded;
-        Frame reclean;
-        reclean.kind = FrameKind::kReclean;
-        reclean.link_sender = peer_;
-        reclean.label = frame.label;
-        transport_.send(self_, peer_, reclean.encode());
-        return;
-      }
-      Frame ack;
-      ack.kind = FrameKind::kAck;
-      ack.link_sender = peer_;  // names the link, i.e. its sender
-      ack.label = frame.label;
-      transport_.send(self_, peer_, ack.encode());
-      const bool seen =
-          std::find(rx_recent_.begin(), rx_recent_.end(), frame.label) !=
-          rx_recent_.end();
-      if (!seen) {
-        // History shorter than the label domain (else fresh labels would be
-        // rejected) but long enough to cover reordered stragglers. The
-        // oldest label is dropped from the front.
-        if (rx_recent_.size() >= cfg_.label_domain / 2u)
-          rx_recent_.erase(rx_recent_.begin());
-        // ssr-lint: allow(hot-path-alloc): within the constructor's reserve.
-        rx_recent_.push_back(frame.label);
-        ++stats_.frames_delivered;
-        heartbeat_();
-        deliver_(frame.payload);
-      }
+      receive_data(frame, false);
       return;
-    }
-    case FrameKind::kAck: {
+    case FrameKind::kAck:
       // Sender side of link (self → peer).
-      if (frame.link_sender != self_ || tx_state_ != TxState::kRunning) return;
-      if (frame.label != tx_label_) return;  // stale ack
-      if (++acks_seen_ > cfg_.ack_threshold) {
-        ++stats_.rounds_completed;
-        heartbeat_();
-        begin_round();
-      }
+      if (frame.link_sender != self_) return;
+      if (count_ack(frame.label)) transmit_current();
       return;
-    }
+    case FrameKind::kDataAck:
+      // Both: the ack first, since a round it completes sends its first
+      // copy on this packet's reply.
+      if (frame.link_sender != peer_) return;
+      receive_data(frame, count_ack(frame.ack_label));
+      return;
     case FrameKind::kClean: {
       if (frame.link_sender != peer_) return;
       // Reset the receiver side: everything previously in flight on this
@@ -262,8 +294,8 @@ void TokenLink::handle_frame(const Frame& frame) {
           // A re-clean resends the round the receiver discarded, so the
           // datagrams composed into it are not lost.
           acks_seen_ = 0;
-          transmit_current();
         }
+        transmit_current();
       }
       return;
     }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "dlink/frame.hpp"
@@ -17,15 +18,9 @@ namespace ssr::dlink {
 struct LinkConfig {
   /// Pacing of retransmissions of the current frame / cleaning probe (plus
   /// up to a quarter of it in jitter). The paper needs only that every
-  /// packet is sent infinitely often, so the rate is a free choice;
-  /// for_channel() sets one copy per (min_delay + max_delay) / capacity.
-  /// A directed channel carries this link's copies and the reverse link's
-  /// acks, about one ack per copy, and each stays in flight for the mean
-  /// one-way delay (min_delay + max_delay) / 2; at this period the mean
-  /// load equals the capacity. A faster rate only overflows the channel
-  /// (400 µs, the default below, puts the default simulated fabric about
-  /// 1.5× over), and a slower one stretches every round. Owners without a
-  /// channel model, such as ssr_node on real sockets, set their own.
+  /// packet is sent infinitely often, so the rate is a free choice. Owners
+  /// without a channel model, such as ssr_node on real sockets, set their
+  /// own; for_channel() derives it from the channel (see piggyback_acks).
   SimTime retransmit_period = 400 * kUsec;
   /// How many acknowledgments carrying the current label complete a round.
   /// The paper requires "more than the total (round-trip) capacity", i.e.
@@ -41,22 +36,41 @@ struct LinkConfig {
   /// probe has been observed (joining processors must not consume stale
   /// packets — paper, Section 3.3).
   bool strict_clean = true;
+  /// Answer a data copy with one kDataAck — the ack plus a fresh copy of
+  /// this side's own current frame — instead of a bare kAck, when this
+  /// side's sender is running and its last copy left at least
+  /// retransmit_period / 2 ago (the reply gap P). A copy that completes a
+  /// round starts the next one, so that round's first copy rides the reply
+  /// whatever the gap. Such a reply restarts the retransmit timer, which
+  /// then only covers replies that never come. Each packet still carries at
+  /// most one data frame and one ack per directed link, and acks still
+  /// answer only data copies, so the 2·cap + 1 threshold argument holds.
+  /// Off by default: where a round trip is far below the period, as on
+  /// localhost sockets, the replies alone would ping-pong at round-trip
+  /// speed and the period would no longer pace anything.
+  bool piggyback_acks = false;
 
-  /// The link timing a bounded channel implies: the retransmit period and
-  /// both thresholds derived as described above; every other field keeps
-  /// its default.
+  /// The link timing a bounded channel implies: both thresholds as above,
+  /// piggybacked acks, and a retransmit period of 2P with
+  /// P = (min_delay + max_delay) / capacity. A directed channel carries
+  /// this link's copies and the reverse link's acks, about one of each per
+  /// P, and each stays in flight for the mean one-way delay
+  /// (min_delay + max_delay) / 2, so at P the mean load equals the
+  /// capacity; a kDataAck is both, so replies spaced by P keep that load.
+  /// Every other field keeps its default.
   static LinkConfig for_channel(const net::ChannelConfig& ch);
 };
 
 /// Both directed data links between `self` and one `peer`:
 ///  * the *sender side* of link (self → peer): stop-and-wait ARQ that
-///    retransmits the current frame until more than `ack_threshold`
-///    matching acknowledgments arrive — this completes a token round trip,
-///    which doubles as the heartbeat of the (N,Θ) failure detector;
+///    resends the current frame until more than `ack_threshold` matching
+///    acknowledgments arrive — this completes a token round trip, which
+///    doubles as the heartbeat of the (N,Θ) failure detector;
 ///  * the *receiver side* of link (peer → self): delivers each fresh label
-///    once and acknowledges every data packet (acks are never spontaneous);
-///    until its cleaning quarantine lifts, it answers data with kReclean,
-///    which sends the sender back to cleaning.
+///    once and acknowledges every data packet (acks are never spontaneous),
+///    with piggyback_acks on in a kDataAck that also carries the sender
+///    side's current frame; until its cleaning quarantine lifts, it answers
+///    data with kReclean, which sends the sender back to cleaning.
 class TokenLink {
  public:
   /// Called when the sender side may compose the next frame payload.
@@ -99,9 +113,17 @@ class TokenLink {
 
   void arm_timer();
   void on_timer();
-  void transmit_current();
+  /// Encodes and sends the current frame; with `ack`, as a kDataAck that
+  /// also acknowledges label `*ack` of the reverse link.
+  void transmit_current(std::optional<std::uint8_t> ack = std::nullopt);
   void begin_cleaning();
   void begin_round();
+  /// Sender side: counts one ack; true when it completed the round and
+  /// began the next, whose first copy the caller sends.
+  bool count_ack(std::uint8_t label);
+  /// Receiver side: answers and delivers one data copy. `round_began`: the
+  /// same packet's ack began a round whose first copy is not sent yet.
+  void receive_data(const Frame& frame, bool round_began);
 
   net::Transport& transport_;
   Rng rng_;
@@ -118,6 +140,7 @@ class TokenLink {
   std::uint8_t clean_nonce_ = 0;
   std::size_t acks_seen_ = 0;
   wire::Bytes tx_payload_;
+  SimTime last_copy_at_ = 0;  // when transmit_current last sent
 
   // Receiver side of link (peer → self). Reordered duplicates of earlier
   // rounds may arrive after a newer label was delivered; a short history of

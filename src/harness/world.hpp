@@ -22,8 +22,11 @@ struct WorldConfig {
 
   WorldConfig() {
     // The data-link timing follows the channel: thresholds of "more than
-    // the total round-trip capacity" (paper, Section 2) and a retransmit
-    // period that keeps each channel's mean load at its capacity.
+    // the total round-trip capacity" (paper, Section 2), acks that ride a
+    // copy of the reverse link's frame at most once per
+    // (min_delay + max_delay) / capacity, which keeps each channel's mean
+    // load at its capacity, and a retransmit timer at twice that gap for
+    // replies that never come.
     channel.capacity = 3;
     node.mux.link = dlink::LinkConfig::for_channel(channel);
   }

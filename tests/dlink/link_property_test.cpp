@@ -1,6 +1,8 @@
 // Property sweep for the token link: in-order, no-duplicate, gap-free
 // delivery of queued datagrams must hold across hostile channel settings
-// (loss × duplication × capacity), as long as loss < 1 (fair communication).
+// (loss × duplication × capacity), as long as loss < 1 (fair communication),
+// both with acks riding data copies (simulated fabrics) and with bare acks
+// only (ssr_node).
 #include <gtest/gtest.h>
 
 #include "dlink/link_mux.hpp"
@@ -16,10 +18,11 @@ struct ChannelCase {
   std::uint64_t seed;
 };
 
-class LinkProperty : public ::testing::TestWithParam<ChannelCase> {};
+class LinkProperty
+    : public ::testing::TestWithParam<std::tuple<ChannelCase, bool>> {};
 
 TEST_P(LinkProperty, InOrderGapFreeDelivery) {
-  const ChannelCase param = GetParam();
+  const auto [param, piggyback] = GetParam();
   sim::Scheduler sched;
   net::ChannelConfig ch;
   ch.capacity = param.capacity;
@@ -29,6 +32,7 @@ TEST_P(LinkProperty, InOrderGapFreeDelivery) {
   net::SimTransport transport(net);
   MuxConfig cfg;
   cfg.link = LinkConfig::for_channel(ch);
+  cfg.link.piggyback_acks = piggyback;
   cfg.datagram_queue_capacity = 64;
   LinkMux a(transport, 1, cfg, Rng(param.seed + 1));
   LinkMux b(transport, 2, cfg, Rng(param.seed + 2));
@@ -57,7 +61,8 @@ TEST_P(LinkProperty, InOrderGapFreeDelivery) {
   sched.run_until(sched.now() + 600 * kSec);
 
   ASSERT_EQ(got.size(), static_cast<std::size_t>(total))
-      << "loss=" << param.loss << " dup=" << param.dup;
+      << "loss=" << param.loss << " dup=" << param.dup
+      << " piggyback=" << piggyback;
   for (std::uint8_t i = 0; i < total; ++i) {
     EXPECT_EQ(got[i], i) << "order broken at " << int(i);
   }
@@ -65,12 +70,15 @@ TEST_P(LinkProperty, InOrderGapFreeDelivery) {
 
 INSTANTIATE_TEST_SUITE_P(
     Channels, LinkProperty,
-    ::testing::Values(ChannelCase{0.0, 0.0, 3, 11}, ChannelCase{0.1, 0.0, 3, 12},
-                      ChannelCase{0.3, 0.05, 3, 13},
-                      ChannelCase{0.05, 0.3, 3, 14},
-                      ChannelCase{0.2, 0.2, 2, 15},
-                      ChannelCase{0.1, 0.1, 6, 16},
-                      ChannelCase{0.5, 0.1, 3, 17}));
+    ::testing::Combine(
+        ::testing::Values(ChannelCase{0.0, 0.0, 3, 11},
+                          ChannelCase{0.1, 0.0, 3, 12},
+                          ChannelCase{0.3, 0.05, 3, 13},
+                          ChannelCase{0.05, 0.3, 3, 14},
+                          ChannelCase{0.2, 0.2, 2, 15},
+                          ChannelCase{0.1, 0.1, 6, 16},
+                          ChannelCase{0.5, 0.1, 3, 17}),
+        ::testing::Bool()));
 
 }  // namespace
 }  // namespace ssr::dlink

@@ -21,6 +21,29 @@ TEST(Frame, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->payload, (wire::Bytes{1, 2, 3}));
 }
 
+TEST(Frame, DataAckRoundtrip) {
+  Frame f;
+  f.kind = FrameKind::kDataAck;
+  f.link_sender = 3;
+  f.label = 9;
+  f.ack_label = 11;
+  f.payload = wire::Bytes{1, 2, 3};
+  const wire::Bytes raw = f.encode();
+  auto decoded = Frame::decode(raw);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->kind, FrameKind::kDataAck);
+  EXPECT_EQ(decoded->link_sender, 3u);
+  EXPECT_EQ(decoded->label, 9);
+  EXPECT_EQ(decoded->ack_label, 11);
+  EXPECT_EQ(decoded->payload, (wire::Bytes{1, 2, 3}));
+  // The ack label sits inside the seal: kind, link_sender, label, ack_label.
+  for (int bit = 0; bit < 8; ++bit) {
+    wire::Bytes flipped = raw;
+    flipped[1 + 4 + 1] ^= static_cast<std::uint8_t>(1u << bit);
+    EXPECT_FALSE(Frame::decode(flipped).has_value()) << bit;
+  }
+}
+
 TEST(Frame, ControlKindsHaveNoPayload) {
   for (FrameKind kind : {FrameKind::kAck, FrameKind::kClean,
                          FrameKind::kCleanAck, FrameKind::kReclean}) {
@@ -41,7 +64,7 @@ TEST(Frame, GarbageRejected) {
   EXPECT_FALSE(Frame::decode(wire::Bytes{0}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{99, 1, 2}).has_value());
   // Unknown kinds are rejected even when correctly sealed.
-  for (std::uint8_t kind : {0, 6}) {
+  for (std::uint8_t kind : {0, 7}) {
     wire::Writer w;
     w.u8(kind);
     w.node_id(1);
@@ -206,6 +229,134 @@ TEST(TokenLink, DuplicatedCleanAckStillDelivers) {
   ASSERT_FALSE(lp.b_got.empty());
   EXPECT_EQ(lp.b_got[0], wire::Bytes{42});
   EXPECT_GT(lp.a->stats().rounds_completed, 0u);
+}
+
+// Link b (2 ↔ 1) driven by hand over a lossless channel with a fixed delay:
+// node 1 runs no link, it only records the frames b sends it.
+struct ScriptedPeer {
+  sim::Scheduler sched;
+  net::Network net;
+  net::SimTransport transport;
+  LinkConfig cfg;
+  std::vector<Frame> at_1;  // frames b sent, in arrival order
+  std::vector<wire::Bytes> b_got;
+  std::unique_ptr<TokenLink> b;
+
+  ScriptedPeer() : net(sched, Rng(7), channel()), transport(net) {
+    cfg = LinkConfig::for_channel(channel());
+    cfg.strict_clean = false;  // node 1 sends no probes
+    b = std::make_unique<TokenLink>(
+        transport, Rng(2), cfg, 2, 1, [] { return wire::Bytes{0xB0}; },
+        [this](const wire::Bytes& d) { b_got.push_back(d); }, [] {});
+    transport.attach(1, [this](const net::Packet& p) {
+      auto f = Frame::decode(p.payload);
+      ASSERT_TRUE(f.has_value());
+      at_1.push_back(*f);
+    });
+    transport.attach(2, [this](const net::Packet& p) {
+      auto f = Frame::decode(p.payload);
+      if (f) b->handle_frame(*f);
+    });
+  }
+
+  static net::ChannelConfig channel() {
+    net::ChannelConfig ch;
+    ch.capacity = 3;
+    ch.loss_probability = 0.0;
+    ch.duplicate_probability = 0.0;
+    ch.min_delay = ch.max_delay = 500 * kUsec;
+    return ch;
+  }
+
+  static Frame frame(FrameKind kind, NodeId sender, std::uint8_t label) {
+    Frame f;
+    f.kind = kind;
+    f.link_sender = sender;
+    f.label = label;
+    return f;
+  }
+
+  /// Completes b's cleaning by hand, then runs until b's next data copy
+  /// reaches node 1 and returns it. That copy left max_delay ago: more than
+  /// the reply gap, and less than the timer period, which cannot fire
+  /// before the next copy is due.
+  Frame next_copy() {
+    if (at_1.empty()) {
+      b->start();
+      sched.run_for(600 * kUsec);
+      EXPECT_EQ(at_1.size(), 1u);  // the first cleaning probe
+      for (std::size_t i = 0; i <= cfg.clean_threshold; ++i) {
+        b->handle_frame(frame(FrameKind::kCleanAck, 2, at_1[0].label));
+      }
+      EXPECT_FALSE(b->cleaning());
+    }
+    const std::size_t seen = at_1.size();
+    while (at_1.size() == seen || at_1.back().kind != FrameKind::kData) {
+      sched.run_for(1 * kUsec);
+    }
+    return at_1.back();
+  }
+};
+
+// With piggyback_acks on, one data copy is answered by exactly one packet
+// that carries both the ack and a copy of the answering side's own frame,
+// once that side's last copy left at least the reply gap ago; sooner, the
+// answer is a bare ack.
+TEST(TokenLink, DataCopyAnsweredByOneDataAck) {
+  ScriptedPeer sp;
+  const Frame copy = sp.next_copy();
+  ASSERT_GT(ScriptedPeer::channel().max_delay, sp.cfg.retransmit_period / 2);
+
+  const auto sent_before = sp.net.channel(2, 1).stats().sent;
+  Frame data = ScriptedPeer::frame(FrameKind::kData, 1, 5);
+  data.payload = wire::Bytes{7};
+  sp.b->handle_frame(data);
+  EXPECT_EQ(sp.net.channel(2, 1).stats().sent, sent_before + 1);
+  // The reply was b's copy: a data copy right after it gets a bare ack.
+  sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kData, 1, 6));
+  EXPECT_EQ(sp.net.channel(2, 1).stats().sent, sent_before + 2);
+  sp.sched.run_for(500 * kUsec);
+
+  std::vector<Frame> answers;  // node 1 sends no data: these answer ours
+  for (const Frame& f : sp.at_1) {
+    if (f.kind == FrameKind::kDataAck || f.kind == FrameKind::kAck) {
+      answers.push_back(f);
+    }
+  }
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0].kind, FrameKind::kDataAck);
+  EXPECT_EQ(answers[0].link_sender, 2u);
+  EXPECT_EQ(answers[0].label, copy.label);
+  EXPECT_EQ(answers[0].ack_label, 5);
+  EXPECT_EQ(answers[0].payload, copy.payload);
+  EXPECT_EQ(answers[1].kind, FrameKind::kAck);
+  EXPECT_EQ(answers[1].label, 6);
+  ASSERT_EQ(sp.b_got.size(), 2u);
+  EXPECT_EQ(sp.b_got[0], wire::Bytes{7});
+}
+
+// Each kDataAck counts as one ack of its label, so the at most `cap` stale
+// ones a channel can hold cannot complete a round on their own: the round
+// needs more than 2·cap + 1.
+TEST(TokenLink, StaleDataAcksCannotCompleteARound) {
+  ScriptedPeer sp;
+  const Frame copy = sp.next_copy();
+  const std::size_t cap = ScriptedPeer::channel().capacity;
+  for (std::size_t i = 0; i < cap; ++i) {
+    Frame stale = ScriptedPeer::frame(FrameKind::kDataAck, 1, 9);
+    stale.ack_label = copy.label;
+    sp.net.channel(1, 2).inject_packet(stale.encode());
+  }
+  sp.sched.run_for(50 * kMsec);  // node 1 never acks b's own copies
+  EXPECT_EQ(sp.net.channel(1, 2).stats().delivered, cap);
+  EXPECT_EQ(sp.b->stats().rounds_completed, 0u);
+  // The round completes at exactly ack_threshold + 1 matching acks.
+  for (std::size_t i = cap; i < sp.cfg.ack_threshold; ++i) {
+    sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
+  }
+  EXPECT_EQ(sp.b->stats().rounds_completed, 0u);
+  sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
+  EXPECT_EQ(sp.b->stats().rounds_completed, 1u);
 }
 
 TEST(TokenLink, SurvivesChannelGarbage) {

@@ -101,18 +101,22 @@ TEST_P(DecoderFuzz, MutatedVSRecordsDecodeOrDropCleanly) {
 
 TEST_P(DecoderFuzz, MutatedFramesDecodeOrDropCleanly) {
   Rng rng(GetParam() * 7 + 3);
-  dlink::Frame f;
-  f.kind = dlink::FrameKind::kData;
-  f.link_sender = 3;
-  f.label = 5;
-  f.payload = wire::Bytes{1, 2, 3, 4};
-  const wire::Bytes valid = f.encode();
-  for (int i = 0; i < 300; ++i) {
-    auto decoded = dlink::Frame::decode(mutate(rng, valid));
-    if (decoded) {
-      const int k = static_cast<int>(decoded->kind);
-      EXPECT_GE(k, 1);
-      EXPECT_LE(k, 4);
+  for (dlink::FrameKind kind :
+       {dlink::FrameKind::kData, dlink::FrameKind::kDataAck}) {
+    dlink::Frame f;
+    f.kind = kind;
+    f.link_sender = 3;
+    f.label = 5;
+    f.ack_label = 6;
+    f.payload = wire::Bytes{1, 2, 3, 4};
+    const wire::Bytes valid = f.encode();
+    for (int i = 0; i < 300; ++i) {
+      auto decoded = dlink::Frame::decode(mutate(rng, valid));
+      if (decoded) {
+        const int k = static_cast<int>(decoded->kind);
+        EXPECT_GE(k, 1);
+        EXPECT_LE(k, 6);
+      }
     }
   }
 }
