@@ -31,21 +31,22 @@ TEST(ScenarioLibrary, NamesAreUnique) {
 // hashes byte for byte, so any drift means a change moved an execution. A
 // refactor must leave them alone; a protocol change that moves executions
 // on purpose re-pins them once, in a commit that names the rule it changed.
-// Last re-pinned when token links began pacing their retransmissions to the
-// channel (LinkConfig::for_channel). A scenario absent from the table (i.e.
-// added later) only skips the pin, not the run.
+// Last re-pinned when token links began answering a data copy with one
+// kDataAck that also carries a copy of the reverse link's frame
+// (LinkConfig::piggyback_acks). A scenario absent from the table (i.e. added
+// later) only skips the pin, not the run.
 std::optional<std::uint64_t> golden_hash(const std::string& name) {
   static const std::map<std::string, std::uint64_t> kGolden = {
-      {"bootstrap", 0x5f189dc6a93b8a13ULL},
-      {"rolling-churn", 0xbef0837f555a21a5ULL},
-      {"majority-split", 0x3bc37edd0f5bafa2ULL},
-      {"flood-of-joiners", 0xbd14b1371137e954ULL},
-      {"epoch-rollover", 0x65b22d81135612acULL},
-      {"garbage-channel-recovery", 0x1b129f8db19c0ad3ULL},
-      {"partition-heal", 0x283af48d8876f7bdULL},
-      {"silent-after-convergence", 0x476699af514aa9e5ULL},
-      {"transient-blast", 0xf9e07ca7eefcf6eeULL},
-      {"vs-workload", 0x7c359a907b3aa064ULL},
+      {"bootstrap", 0x4ebdea12a8379af0ULL},
+      {"rolling-churn", 0xb01cd1bb7e53a2bbULL},
+      {"majority-split", 0xb353b50b286b969dULL},
+      {"flood-of-joiners", 0xafb84e2f8937ee90ULL},
+      {"epoch-rollover", 0x0a878df584ccd7d9ULL},
+      {"garbage-channel-recovery", 0x985a91344baa2563ULL},
+      {"partition-heal", 0xb97aa6013113fffdULL},
+      {"silent-after-convergence", 0xa00578ca7c5e2e72ULL},
+      {"transient-blast", 0x247439b9253e9fe4ULL},
+      {"vs-workload", 0x190e2b3323f16decULL},
   };
   auto it = kGolden.find(name);
   if (it == kGolden.end()) return std::nullopt;
