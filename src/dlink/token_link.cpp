@@ -158,7 +158,8 @@ void TokenLink::transmit_current(std::optional<std::uint8_t> ack) {
     w.node_id(self_);
     w.u8(clean_nonce_);
   } else {
-    w.u8(static_cast<std::uint8_t>(ack ? FrameKind::kDataAck : FrameKind::kData));
+    const FrameKind kind = ack ? FrameKind::kDataAck : FrameKind::kData;
+    w.u8(static_cast<std::uint8_t>(kind));
     w.node_id(self_);
     w.u8(tx_label_);
     if (ack) w.u8(*ack);
@@ -178,7 +179,8 @@ void TokenLink::begin_round() {
 }
 
 bool TokenLink::count_ack(std::uint8_t label) {
-  if (tx_state_ != TxState::kRunning || label != tx_label_) return false;
+  if (tx_state_ != TxState::kRunning) return false;
+  if (label != tx_label_) return false;  // stale ack
   if (++acks_seen_ <= cfg_.ack_threshold) return false;
   ++stats_.rounds_completed;
   heartbeat_();

@@ -39,15 +39,16 @@ struct LinkConfig {
   /// Answer a data copy with one kDataAck — the ack plus a fresh copy of
   /// this side's own current frame — instead of a bare kAck, when this
   /// side's sender is running and its last copy left at least
-  /// retransmit_period / 2 ago (the reply gap P). A copy that completes a
-  /// round starts the next one, so that round's first copy rides the reply
-  /// whatever the gap. Such a reply restarts the retransmit timer, which
-  /// then only covers replies that never come. Each packet still carries at
-  /// most one data frame and one ack per directed link, and acks still
-  /// answer only data copies, so the 2·cap + 1 threshold argument holds.
-  /// Off by default: where a round trip is far below the period, as on
-  /// localhost sockets, the replies alone would ping-pong at round-trip
-  /// speed and the period would no longer pace anything.
+  /// retransmit_period / 2 ago (the reply gap P). When the ack inside an
+  /// arriving kDataAck completes this side's round, the next round's first
+  /// copy rides the reply whatever the gap. Such a reply restarts the
+  /// retransmit timer, which then only covers replies that never come. Each
+  /// packet still carries at most one data frame and one ack per directed
+  /// link, and acks still answer only data copies, so the 2·cap + 1
+  /// threshold argument holds. Off by default: where a round trip is far
+  /// below the gap, as on localhost sockets, every reply is answered at
+  /// once, and the links would send one copy per gap instead of one per
+  /// period.
   bool piggyback_acks = false;
 
   /// The link timing a bounded channel implies: both thresholds as above,

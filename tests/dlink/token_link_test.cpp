@@ -276,25 +276,28 @@ struct ScriptedPeer {
     return f;
   }
 
-  /// Completes b's cleaning by hand, then runs until b's next data copy
-  /// reaches node 1 and returns it. That copy left max_delay ago: more than
-  /// the reply gap, and less than the timer period, which cannot fire
-  /// before the next copy is due.
+  /// Runs until b's next data copy reaches node 1 and returns it.
   Frame next_copy() {
-    if (at_1.empty()) {
-      b->start();
-      sched.run_for(600 * kUsec);
-      EXPECT_EQ(at_1.size(), 1u);  // the first cleaning probe
-      for (std::size_t i = 0; i <= cfg.clean_threshold; ++i) {
-        b->handle_frame(frame(FrameKind::kCleanAck, 2, at_1[0].label));
-      }
-      EXPECT_FALSE(b->cleaning());
-    }
     const std::size_t seen = at_1.size();
     while (at_1.size() == seen || at_1.back().kind != FrameKind::kData) {
       sched.run_for(1 * kUsec);
     }
     return at_1.back();
+  }
+
+  /// Completes b's cleaning by hand and returns the first data copy b's
+  /// timer sent. It arrives max_delay after it left: later than the reply
+  /// gap P, and sooner than the timer, re-armed for 2P, sends again.
+  Frame timer_copy() {
+    b->start();
+    sched.run_for(600 * kUsec);
+    EXPECT_EQ(at_1.size(), 1u);  // the first cleaning probe
+    for (std::size_t i = 0; i <= cfg.clean_threshold; ++i) {
+      b->handle_frame(frame(FrameKind::kCleanAck, 2, at_1[0].label));
+    }
+    EXPECT_FALSE(b->cleaning());
+    next_copy();  // sent at once when cleaning completed
+    return next_copy();
   }
 };
 
@@ -304,7 +307,7 @@ struct ScriptedPeer {
 // answer is a bare ack.
 TEST(TokenLink, DataCopyAnsweredByOneDataAck) {
   ScriptedPeer sp;
-  const Frame copy = sp.next_copy();
+  const Frame copy = sp.timer_copy();
   ASSERT_GT(ScriptedPeer::channel().max_delay, sp.cfg.retransmit_period / 2);
 
   const auto sent_before = sp.net.channel(2, 1).stats().sent;
@@ -340,7 +343,7 @@ TEST(TokenLink, DataCopyAnsweredByOneDataAck) {
 // needs more than 2·cap + 1.
 TEST(TokenLink, StaleDataAcksCannotCompleteARound) {
   ScriptedPeer sp;
-  const Frame copy = sp.next_copy();
+  const Frame copy = sp.timer_copy();
   const std::size_t cap = ScriptedPeer::channel().capacity;
   for (std::size_t i = 0; i < cap; ++i) {
     Frame stale = ScriptedPeer::frame(FrameKind::kDataAck, 1, 9);

@@ -61,12 +61,15 @@ using namespace ssr;
 /// threshold, which trades round (heartbeat) rate against duplicate
 /// tolerance since real sockets have no fixed channel capacity.
 ///
-/// Simulated links send one copy per round trip / capacity
+/// Simulated links send about one copy per round trip / capacity
 /// (dlink::LinkConfig::for_channel), so a channel's mean load stays at its
 /// capacity. A threshold of 3 = 2·1 + 1 treats the socket as a capacity-1
 /// channel, for which that rule allows one copy per round trip. A localhost
 /// round trip takes tens of microseconds, so 2 ms already sends far more
-/// slowly than the rule allows and needs no derivation.
+/// slowly than the rule allows and needs no derivation. The daemons keep
+/// bare acks (LinkConfig::piggyback_acks off): a reply that carried a copy
+/// would be answered within that round trip, so the links would send one
+/// copy per reply gap instead of one per period.
 constexpr SimTime kRetransmitPeriod = 2000 * kUsec;
 constexpr std::size_t kAckThreshold = 3;
 
