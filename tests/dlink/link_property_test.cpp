@@ -5,6 +5,8 @@
 // only (ssr_node).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "dlink/link_mux.hpp"
 #include "net/sim_transport.hpp"
 
