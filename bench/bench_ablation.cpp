@@ -1,7 +1,8 @@
-// E10 — ablation studies for the design choices documented in DESIGN.md §3:
-//  (a) the one-phase-ahead barrier relaxation (deviation #4) — disabling it
-//      restores the paper's literal unison tests, which under the coalescing
-//      token link degrade delicate replacements into brute-force resets;
+// E10 — ablation studies of design choices:
+//  (a) the one-phase-ahead barrier relaxation (deviation #4 in README,
+//      "Deviations from the paper") — disabling it restores the paper's
+//      literal unison tests, which under the coalescing token link degrade
+//      delicate replacements into brute-force resets;
 //  (b) the snap-stabilizing link cleaning (strict_clean) — disabling it lets
 //      freshly booted processors consume stale channel packets;
 //  (c) the failure detector's Θ — the accuracy/latency trade-off for crash

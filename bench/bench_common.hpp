@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared helpers for the experiment benches (DESIGN.md §4). Every bench
+// Shared helpers for the E1–E10 experiment benches. Every bench
 // drives full-stack simulations and reports *virtual-time* metrics through
 // benchmark counters; wall time only reflects simulator speed.
 

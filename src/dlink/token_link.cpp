@@ -13,8 +13,7 @@ LinkConfig LinkConfig::for_channel(const net::ChannelConfig& ch) {
   const SimTime round_trip = ch.min_delay + ch.max_delay;
   cfg.retransmit_period = std::max<SimTime>(
       2 * round_trip / std::max<std::size_t>(ch.capacity, 1), 2);
-  cfg.ack_threshold = 2 * ch.capacity + 1;
-  cfg.clean_threshold = 2 * ch.capacity + 1;
+  cfg.threshold = 2 * ch.capacity + 1;
   cfg.piggyback_acks = true;
   return cfg;
 }
@@ -181,7 +180,7 @@ void TokenLink::begin_round() {
 bool TokenLink::count_ack(std::uint8_t label) {
   if (tx_state_ != TxState::kRunning) return false;
   if (label != tx_label_) return false;  // stale ack
-  if (++acks_seen_ <= cfg_.ack_threshold) return false;
+  if (++acks_seen_ <= cfg_.threshold) return false;
   ++stats_.rounds_completed;
   heartbeat_();
   begin_round();
@@ -262,7 +261,7 @@ void TokenLink::handle_frame(const Frame& frame) {
     case FrameKind::kClean: {
       if (frame.link_sender != peer_) return;
       // Reset the receiver side: everything previously in flight on this
-      // link is untrusted. The sender needs > clean_threshold CLEAN-ACKs
+      // link is untrusted. The sender needs > threshold CLEAN-ACKs
       // before it transmits data, and acks are only sent on probe arrival,
       // so by that point we have seen at least as many probes — any stale
       // data packet has drained from the bounded channel meanwhile.
@@ -275,7 +274,7 @@ void TokenLink::handle_frame(const Frame& frame) {
         rx_recent_.clear();
       }
       ++rx_clean_count_;
-      if (rx_clean_count_ > cfg_.clean_threshold) rx_clean_ = true;
+      if (rx_clean_count_ > cfg_.threshold) rx_clean_ = true;
       Frame ack;
       ack.kind = FrameKind::kCleanAck;
       ack.link_sender = peer_;
@@ -286,7 +285,7 @@ void TokenLink::handle_frame(const Frame& frame) {
     case FrameKind::kCleanAck: {
       if (frame.link_sender != self_ || tx_state_ != TxState::kCleaning) return;
       if (frame.label != clean_nonce_) return;
-      if (++acks_seen_ > cfg_.clean_threshold) {
+      if (++acks_seen_ > cfg_.threshold) {
         ++stats_.cleans_completed;
         tx_state_ = TxState::kRunning;
         tx_label_ = static_cast<std::uint8_t>(rng_.next_below(cfg_.label_domain));

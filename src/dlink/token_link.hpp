@@ -22,13 +22,14 @@ struct LinkConfig {
   /// without a channel model, such as ssr_node on real sockets, set their
   /// own; for_channel() derives it from the channel (see piggyback_acks).
   SimTime retransmit_period = 400 * kUsec;
-  /// How many acknowledgments carrying the current label complete a round.
-  /// The paper requires "more than the total (round-trip) capacity", i.e.
-  /// 2·cap + 1 for symmetric channels (for_channel()).
-  std::size_t ack_threshold = 7;
-  /// Cleaning completes after more than the round-trip capacity of matching
-  /// clean-acks (paper, Section 2, snap-stabilizing data link of [15]).
-  std::size_t clean_threshold = 7;
+  /// "More than the total (round-trip) capacity" (paper, Section 2): a
+  /// round completes on the ack after `threshold` matching acks, cleaning on
+  /// the clean-ack after `threshold` matching clean-acks, and a receiver
+  /// lifts its quarantine on the probe after `threshold` probes. 2·cap + 1
+  /// for symmetric channels (for_channel()). Both ends of a link must agree
+  /// on it: a sender that counts fewer clean-acks than its receiver counts
+  /// probes leaves cleaning into a quarantine.
+  std::size_t threshold = 7;
   /// Bounded ARQ label domain; must exceed 2·cap + 2 so a fresh label always
   /// eventually exists outside the channels.
   std::uint8_t label_domain = 16;
@@ -51,7 +52,7 @@ struct LinkConfig {
   /// period.
   bool piggyback_acks = false;
 
-  /// The link timing a bounded channel implies: both thresholds as above,
+  /// The link timing a bounded channel implies: the threshold as above,
   /// piggybacked acks, and a retransmit period of 2P with
   /// P = (min_delay + max_delay) / capacity. A directed channel carries
   /// this link's copies and the reverse link's acks, about one of each per
@@ -64,7 +65,7 @@ struct LinkConfig {
 
 /// Both directed data links between `self` and one `peer`:
 ///  * the *sender side* of link (self → peer): stop-and-wait ARQ that
-///    resends the current frame until more than `ack_threshold` matching
+///    resends the current frame until more than `threshold` matching
 ///    acknowledgments arrive — this completes a token round trip, which
 ///    doubles as the heartbeat of the (N,Θ) failure detector;
 ///  * the *receiver side* of link (peer → self): delivers each fresh label

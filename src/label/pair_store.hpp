@@ -13,7 +13,7 @@ namespace ssr::label {
 struct StoreConfig {
   /// storedLabels[i] queue bound — the paper uses (v(v²+m))+v; we size the
   /// antisting set to the queue bound instead so that nextLabel() always
-  /// dominates everything stored (DESIGN.md §3).
+  /// dominates everything stored (README, "Deviations from the paper").
   std::size_t own_queue_capacity = Label::kAntistings;
   /// storedLabels[j], j ≠ i: bound v+m in the paper.
   std::size_t peer_queue_capacity = 12;
@@ -281,12 +281,12 @@ class PairStore {
       adopt_scratch_ = *best_ptr;
       const P& best = adopt_scratch_;
       max_[self_] = best;
-      // Epoch-refresh rule (DESIGN.md §3): if one of our *own* cancelled
-      // labels still compares above the adopted best (an exhausted epoch we
-      // created), no other processor can mint a label restoring the global
-      // order — only a fresh label of ours dominates it. Mint one. The
-      // fresh label covers our cancelled stings, so this fires at most once
-      // per cancellation event.
+      // Epoch-refresh rule (README, "Deviations from the paper"): if one
+      // of our *own* cancelled labels still compares above the adopted best
+      // (an exhausted epoch we created), no other processor can mint a
+      // label restoring the global order — only a fresh label of ours
+      // dominates it. Mint one. The fresh label covers our cancelled
+      // stings, so this fires at most once per cancellation event.
       bool own_cancelled_above = false;
       for (const P& lp : labels_of(self_)) {
         if (!lp.has_main() || lp.legit()) continue;

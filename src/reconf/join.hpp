@@ -17,7 +17,8 @@ struct JoinConfig {
   /// Ticks of quiet (noReco, zero visible participants, stable FD) a joiner
   /// waits before concluding the configuration completely collapsed and
   /// seeding the brute-force reset (paper §3.1.1 / §3.3; the paper leaves
-  /// the invoker of the collapse path unspecified — see DESIGN.md §3).
+  /// the invoker of the collapse path unspecified — see README,
+  /// "Deviations from the paper").
   unsigned bootstrap_patience_ticks = 200;
 };
 

@@ -286,9 +286,10 @@ int RecSA::stale_type(const IdSet& part) const {
     if (rec.config.is_bottom()) return 2;
     if (rec.config.is_set() && rec.config.ids().empty()) return 2;
   }
-  // type-3: notification degrees out of synch. Deviation #5 (DESIGN.md):
-  // the gap threshold is 2, because the token-link's coalescing delivery
-  // legitimately exhibits gap-2 snapshots in fault-free runs.
+  // type-3: notification degrees out of synch. Deviation #5 (README,
+  // "Deviations from the paper"): the gap threshold is 2, because the
+  // token-link's coalescing delivery legitimately exhibits gap-2 snapshots
+  // in fault-free runs.
   std::vector<int> degrees;
   std::vector<const IdSet*> sets;
   bool phase2_present = false;
@@ -377,7 +378,8 @@ bool RecSA::compute_no_reco() const {
     if (!it->second.fd.contains(self_)) return false;
   }
   // (3) participant sets have stabilized. The echoed-part clause is only
-  // evaluable for participants (joiners receive no echoes — DESIGN.md §3).
+  // evaluable for participants (joiners receive no echoes — README,
+  // "Deviations from the paper").
   const bool participant = part.contains(self_);
   for (NodeId j : part) {
     if (j == self_) continue;
@@ -494,13 +496,13 @@ void RecSA::tick() {
       if (agree) config_set(ConfigValue::set(fd_self_));
     }
     if (!is_participant()) {
-      // Ghost-participant repair (DESIGN.md §3): a transient fault can wipe
-      // our own participation mark while every participant still lists us
-      // in its participant set. Since we never broadcast as a
-      // non-participant, their records would never refresh and the
-      // participant views would disagree forever. When the whole quorum
-      // already counts us in, re-adopt participation. Fresh joiners are
-      // never listed, so the admission path is untouched.
+      // Ghost-participant repair (README, "Deviations from the paper"): a
+      // transient fault can wipe our own participation mark while every
+      // participant still lists us in its participant set. Since we never
+      // broadcast as a non-participant, their records would never refresh
+      // and the participant views would disagree forever. When the whole
+      // quorum already counts us in, re-adopt participation. Fresh joiners
+      // are never listed, so the admission path is untouched.
       const IdSet part = part_set();
       bool listed_by_all = !part.empty();
       for (NodeId k : part) {
@@ -520,9 +522,10 @@ void RecSA::tick() {
     // ---- Delicate replacement (lines 28) ----
     PeerRecord& me = record(self_);
     // Selection: adopt the lexically maximal notification (Claim 3.12(1)
-    // requires adoption before the barrier; DESIGN.md deviation #3). A node
-    // one step behind advances through its own transition instead, and a
-    // finished replacement (phase-2 set already installed) is not re-adopted.
+    // requires adoption before the barrier; deviation #3 in README,
+    // "Deviations from the paper"). A node one step behind advances through
+    // its own transition instead, and a finished replacement (phase-2 set
+    // already installed) is not re-adopted.
     const bool mine_one_behind = me.prp.phase == 1 && me.prp.has_set &&
                                  m.phase == 2 && m.set == me.prp.set;
     const bool finished = m.phase == 2 && config_of(self_).is_set() &&
@@ -543,7 +546,7 @@ void RecSA::tick() {
     if (!me.prp.is_default()) {
       // all[i] ← every trusted participant echoed my values and reports the
       // same (participant set, notification) — with the one-phase-ahead
-      // relaxation (DESIGN.md deviation #4).
+      // relaxation (deviation #4 in README, "Deviations from the paper").
       bool new_all = true;
       for (NodeId k : part) {
         if (!(echo_no_all(k, part) && same_relaxed(k, part))) {

@@ -53,10 +53,11 @@ struct RecSAStats {
 
 /// Behavioural switches for ablation studies (bench_ablation).
 struct RecSAOptions {
-  /// DESIGN.md deviation #4: treat "same notification set, exactly one
-  /// phase ahead" as matching in the barrier predicates. Disabling restores
-  /// the paper's literal (stricter) tests; under the coalescing token link
-  /// this causes spurious brute-force resets during delicate replacements.
+  /// Deviation #4 (README, "Deviations from the paper"): treat "same
+  /// notification set, exactly one phase ahead" as matching in the barrier
+  /// predicates. Disabling restores the paper's literal (stricter) tests;
+  /// under the coalescing token link this causes spurious brute-force
+  /// resets during delicate replacements.
   bool relaxed_barrier = true;
 };
 
@@ -70,7 +71,8 @@ struct RecSAOptions {
 /// broadcast rides the token-link state slots.
 ///
 /// The OCR-damaged pseudocode is reconstructed from the prose and the
-/// correctness proofs; see DESIGN.md §3 for the five documented deviations.
+/// correctness proofs; README "Deviations from the paper" lists where it
+/// departs from the algorithm as printed.
 class RecSA {
  public:
   using FdSupplier = std::function<IdSet()>;

@@ -15,9 +15,9 @@
 namespace ssr::scenario {
 
 /// Outcome of one scenario execution, shared by every backend. Simulator
-/// runs fill the determinism fields (trace_hash, sched_events, pool_*);
-/// process runs leave them at their sim-only defaults and report wall time
-/// through sim_time.
+/// runs fill the determinism fields (trace_hash, sched_events,
+/// pool_acquired); process runs leave them at their sim-only defaults and
+/// report wall time through sim_time.
 struct ScenarioResult {
   std::string name;
   std::uint64_t seed = 0;
@@ -29,19 +29,11 @@ struct ScenarioResult {
   std::size_t trace_events = 0;
   /// Virtual time under the simulator; wall time under the process backend.
   SimTime sim_time = 0;
-  /// Scheduler events executed during the run — the unit bench_scenarios
-  /// reports as events/sec. Simulator only.
+  /// Scheduler events executed during the run. Simulator only.
   std::uint64_t sched_events = 0;
-  /// Fabric totals summed over every channel (sim) or every transport
-  /// (process) at the end of the run.
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_delivered = 0;
-  /// wire::BufferPool activity during the run (deltas of the thread pool):
-  /// acquired = payload buffers requested, reused = served from the
-  /// freelist. reused/acquired ≈ 1 is the zero-allocation steady state.
-  /// Simulator only.
+  /// Payload buffers requested from the thread's wire::BufferPool during
+  /// the run. Simulator only.
   std::uint64_t pool_acquired = 0;
-  std::uint64_t pool_reused = 0;
   /// Client-op latency over every workload action (increments + register
   /// ops): completed-op count and p50/p99 in microseconds (virtual time
   /// under the simulator, wall time under the process backend). Zero when
@@ -56,8 +48,8 @@ struct ScenarioResult {
   /// UDP syscall batching, summed over the fleet's final STATUS samples
   /// (process backend only; the simulator makes no syscalls): sendmmsg +
   /// recvmmsg invocations, and datagrams that shared a send syscall with at
-  /// least one other. batched/sent close to 1 means the ring is doing its
-  /// job; syscalls well below packets_sent+packets_delivered is the win.
+  /// least one other. Syscalls well below the datagrams sent and received
+  /// is the win.
   std::uint64_t net_syscalls = 0;
   std::uint64_t net_batched = 0;
   std::vector<InvariantRegistry::Violation> violations;

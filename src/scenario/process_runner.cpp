@@ -283,8 +283,6 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
   const std::uint64_t changes = parse_u64(kv, "cfgchanges");
   p.incq = parse_u64(kv, "incq");
   p.shmq = parse_u64(kv, "shmq");
-  p.sent = parse_u64(kv, "sent");
-  p.recv = parse_u64(kv, "recv");
   p.syscalls = parse_u64(kv, "syscalls");
   p.batched = parse_u64(kv, "batched");
 
@@ -560,8 +558,6 @@ void ProcessRunner::fill_result(ScenarioResult& r) {
   r.op_latency = op_latency_;
   for (const auto& [id, p] : procs_) {
     (void)id;
-    r.packets_sent += p.sent;
-    r.packets_delivered += p.recv;
     r.net_syscalls += p.syscalls;
     r.net_batched += p.batched;
   }

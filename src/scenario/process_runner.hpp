@@ -101,8 +101,6 @@ class ProcessRunner final : public ScenarioBackend {
     std::uint64_t cfgchanges = 0;
     std::uint64_t incq = 0;
     std::uint64_t shmq = 0;
-    std::uint64_t sent = 0;
-    std::uint64_t recv = 0;
     std::uint64_t syscalls = 0;  // sendmmsg+recvmmsg calls (STATUS syscalls=)
     std::uint64_t batched = 0;   // datagrams sharing a send syscall
     /// How many of the daemon's completed ops were already fed to the

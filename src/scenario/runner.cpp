@@ -84,13 +84,8 @@ void ScenarioRunner::fill_result(ScenarioResult& r) {
   r.sim_time = world_.scheduler().now();
   r.sched_events = world_.scheduler().events_executed();
   r.op_latency = op_latency_;
-  world_.network().for_each_channel([&r](NodeId, NodeId, net::Channel& ch) {
-    r.packets_sent += ch.stats().sent;
-    r.packets_delivered += ch.stats().delivered;
-  });
-  const wire::BufferPool::Stats& pool = wire::BufferPool::local().stats();
-  r.pool_acquired = pool.acquired - pool_at_start_.acquired;
-  r.pool_reused = pool.reused - pool_at_start_.reused;
+  r.pool_acquired =
+      wire::BufferPool::local().stats().acquired - pool_at_start_.acquired;
 }
 
 ScenarioRunner::Attempt ScenarioRunner::increment_once(NodeId id,

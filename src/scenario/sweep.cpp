@@ -160,6 +160,7 @@ SweepSummary SweepRunner::run() {
   }
   for (double c : worker_cpu_) {
     out.max_worker_cpu_sec = std::max(out.max_worker_cpu_sec, c);
+    out.total_worker_cpu_sec += c;
   }
   for (const ScenarioResult& r : out.results) {
     if (!r.ok) ++out.failed;

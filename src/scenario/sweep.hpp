@@ -43,9 +43,12 @@ struct SweepSummary {
   /// averaging per-run percentiles would not be).
   util::LatencyHistogram op_latency;
   double wall_ms = 0;
-  /// Slowest worker's thread CPU seconds — the capacity-per-core number
-  /// BM_SweepThroughput normalizes by (0 where unsupported).
+  /// Thread CPU seconds of the slowest worker and of all workers together
+  /// (0 where unsupported). total / max is how many workers' worth of CPU
+  /// the pool spent in the time its slowest worker ran: the sweep's
+  /// speedup over one worker at the same per-core speed.
   double max_worker_cpu_sec = 0;
+  double total_worker_cpu_sec = 0;
 
   std::string summary() const;
 };
@@ -100,7 +103,7 @@ class SweepRunner {
   std::size_t next_ SSR_GUARDED_BY(mu_) = 0;
   std::vector<Harvested> harvested_ SSR_GUARDED_BY(mu_);
   /// Thread CPU seconds burned by each worker over its whole loop, measured
-  /// on the worker itself — max over these is SweepSummary::max_worker_cpu_sec.
+  /// on the worker itself; SweepSummary reports their max and total.
   std::vector<double> worker_cpu_ SSR_GUARDED_BY(mu_);
 };
 

@@ -60,7 +60,7 @@ struct TraceEvent {
 /// only while the trace outgrows every segment seen so far on this thread.
 /// clear() rewinds without releasing segments and the destructor returns
 /// them to the pool, so recorders churned by a sweep worker reuse the same
-/// storage run after run (asserted by BM_TraceRecordAlloc).
+/// storage run after run (asserted by alloc_tests).
 class TraceRecorder {
  public:
   /// Events per pooled segment. Sized so one segment covers every library

@@ -140,7 +140,7 @@ void BufferPool::release(Bytes&& b) {
 }
 
 // ssr-lint: allow(hot-path-alloc): amortized into the pooled buffer's sticky capacity
-// (allocs/packet = 0 at steady state, asserted by BM_ChannelSendAlloc).
+// (allocs/packet = 0 at steady state, asserted by alloc_tests).
 void Writer::u8(std::uint8_t v) { out_.push_back(v); }
 
 // Multi-byte little-endian fields grow the buffer once and store through a

@@ -196,7 +196,7 @@ TEST(TokenLink, StrictCleanDiscardsPreCleanData) {
 
 // The sender counts clean-acks and the receiver counts probes against the
 // same threshold, so one clean-ack that the channel duplicates ends cleaning
-// when the receiver has counted only clean_threshold probes and is still
+// when the receiver has counted only `threshold` probes and is still
 // quarantined. The receiver must send the sender back to cleaning instead of
 // discarding its data forever (the bootstrap livelock).
 TEST(TokenLink, DuplicatedCleanAckStillDelivers) {
@@ -292,7 +292,7 @@ struct ScriptedPeer {
     b->start();
     sched.run_for(600 * kUsec);
     EXPECT_EQ(at_1.size(), 1u);  // the first cleaning probe
-    for (std::size_t i = 0; i <= cfg.clean_threshold; ++i) {
+    for (std::size_t i = 0; i <= cfg.threshold; ++i) {
       b->handle_frame(frame(FrameKind::kCleanAck, 2, at_1[0].label));
     }
     EXPECT_FALSE(b->cleaning());
@@ -353,8 +353,8 @@ TEST(TokenLink, StaleDataAcksCannotCompleteARound) {
   sp.sched.run_for(50 * kMsec);  // node 1 never acks b's own copies
   EXPECT_EQ(sp.net.channel(1, 2).stats().delivered, cap);
   EXPECT_EQ(sp.b->stats().rounds_completed, 0u);
-  // The round completes at exactly ack_threshold + 1 matching acks.
-  for (std::size_t i = cap; i < sp.cfg.ack_threshold; ++i) {
+  // The round completes at exactly threshold + 1 matching acks.
+  for (std::size_t i = cap; i < sp.cfg.threshold; ++i) {
     sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
   }
   EXPECT_EQ(sp.b->stats().rounds_completed, 0u);

@@ -26,8 +26,8 @@ TEST_P(Replay, SameSeedSameTraceHash) {
   EXPECT_EQ(a.sim_time, b.sim_time);
   // The event stream itself is equal, not just the protocol trace: same
   // scheduler event count and same buffer demand on both laps. (How many
-  // acquires the freelist can serve depends on pool temperature, so
-  // pool_reused is deliberately not compared — only the demand is pinned.)
+  // acquires the freelist can serve depends on pool temperature, so only
+  // the demand is pinned.)
   EXPECT_EQ(a.sched_events, b.sched_events);
   EXPECT_EQ(a.pool_acquired, b.pool_acquired);
 }

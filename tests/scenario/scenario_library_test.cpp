@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 
 #include "scenario/library.hpp"
 #include "scenario/runner.hpp"
@@ -33,9 +32,9 @@ TEST(ScenarioLibrary, NamesAreUnique) {
 // on purpose re-pins them once, in a commit that names the rule it changed.
 // Last re-pinned when token links began answering a data copy with one
 // kDataAck that also carries a copy of the reverse link's frame
-// (LinkConfig::piggyback_acks). A scenario absent from the table (i.e. added
-// later) only skips the pin, not the run.
-std::optional<std::uint64_t> golden_hash(const std::string& name) {
+// (LinkConfig::piggyback_acks). Every library scenario has a pin: a new one
+// fails here until its hash is added.
+const std::map<std::string, std::uint64_t>& golden_hashes() {
   static const std::map<std::string, std::uint64_t> kGolden = {
       {"bootstrap", 0x4ebdea12a8379af0ULL},
       {"rolling-churn", 0xb01cd1bb7e53a2bbULL},
@@ -46,17 +45,20 @@ std::optional<std::uint64_t> golden_hash(const std::string& name) {
       {"partition-heal", 0xb97aa6013113fffdULL},
       {"silent-after-convergence", 0xa00578ca7c5e2e72ULL},
       {"transient-blast", 0x247439b9253e9fe4ULL},
+      {"crash-respawn", 0xafb491e9981025e3ULL},
+      {"stall-resume", 0xb6faba215386c93bULL},
+      {"pause-through-heal", 0xa31cc34fe68719b3ULL},
+      {"joiner-adoption", 0x46f5e2be39a8dec3ULL},
+      {"crash-then-stable", 0x01f6d5584a9e0b65ULL},
+      {"adversarial-bitflips", 0x10058d90dcbbc23fULL},
       {"vs-workload", 0x190e2b3323f16decULL},
   };
-  auto it = kGolden.find(name);
-  if (it == kGolden.end()) return std::nullopt;
-  return it->second;
+  return kGolden;
 }
 
 // Every library scenario runs clean: awaits met, zero invariant violations,
-// and (for the pinned set) a byte-identical trace to the golden record.
-// Parameterized over library() itself so a newly added scenario is covered
-// automatically.
+// and a byte-identical trace to the golden record. Parameterized over
+// library() itself so a newly added scenario is covered automatically.
 class RunsClean : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RunsClean, ZeroViolationsAndGoldenTrace) {
@@ -67,11 +69,11 @@ TEST_P(RunsClean, ZeroViolationsAndGoldenTrace) {
   EXPECT_TRUE(r.violations.empty()) << r.summary();
   EXPECT_TRUE(r.failure.empty()) << r.summary();
   EXPECT_GT(r.trace_events, 0u);
-  if (auto hash = golden_hash(GetParam())) {
-    EXPECT_EQ(r.trace_hash, *hash)
-        << "trace drifted from the pinned seed-7 execution: "
-        << r.summary();
-  }
+  const auto pin = golden_hashes().find(GetParam());
+  ASSERT_NE(pin, golden_hashes().end())
+      << "no pinned seed-7 hash; this run: " << r.summary();
+  EXPECT_EQ(r.trace_hash, pin->second)
+      << "trace drifted from the pinned seed-7 execution: " << r.summary();
 }
 
 std::vector<std::string> library_names() {

@@ -2,15 +2,21 @@
 // as a serial one. jobs=1 and jobs=4 over 4 scenarios (one of them a client
 // workload over the VS layer) × seeds 1..20 must agree on every
 // per-(scenario, seed) trace hash, event count and end time, and both must
-// report in submission order. Plus unit coverage of add()/add_seed_range()
-// and the merged summary.
+// report in submission order. On the same jobs, a (spec, seed) pair names
+// exactly one execution: the seeds of a scenario give distinct hashes, and
+// a sweep job matches a direct run of its pair. Plus unit coverage of
+// add()/add_seed_range(), the merged summary and the CPU split floors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/library.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
 
 namespace ssr::scenario {
@@ -67,6 +73,35 @@ TEST(SweepRunner, ParallelIsByteIdenticalToSerial) {
             parallel.op_latency.percentile(50));
   EXPECT_EQ(serial.op_latency.percentile(99),
             parallel.op_latency.percentile(99));
+
+  // Divergence: the seeds of one scenario give pairwise distinct executions
+  // (the channel delays alone reshuffle every delivery, and a 64-bit hash
+  // collision across 20 seeds would itself be a red flag).
+  std::map<std::string, std::set<std::uint64_t>> hashes;
+  for (const ScenarioResult& r : parallel.results) {
+    EXPECT_TRUE(hashes[r.name].insert(r.trace_hash).second)
+        << r.name << " seed " << r.seed << " repeats another seed's hash";
+  }
+
+  // Stability: a sweep job and a direct serial run of its (spec, seed) pair
+  // are the same execution. Results are in submission order: scenario-major,
+  // then seed.
+  const std::uint64_t seeds = kLastSeed - kFirstSeed + 1;
+  for (std::size_t k = 0; k < std::size(kScenarios); ++k) {
+    const ScenarioSpec spec = *find_scenario(kScenarios[k]);
+    for (std::uint64_t seed :
+         {kFirstSeed, (kFirstSeed + kLastSeed) / 2, kLastSeed}) {
+      const ScenarioResult again = run_scenario(spec, seed);
+      const ScenarioResult& swept =
+          parallel.results[k * seeds + (seed - kFirstSeed)];
+      ASSERT_EQ(swept.seed, seed);
+      EXPECT_EQ(swept.trace_hash, again.trace_hash)
+          << kScenarios[k] << " seed " << seed;
+      EXPECT_EQ(swept.trace_events, again.trace_events);
+      EXPECT_EQ(swept.sim_time, again.sim_time);
+      EXPECT_EQ(swept.sched_events, again.sched_events);
+    }
+  }
 }
 
 TEST(SweepRunner, SubmissionOrderIsReportOrder) {
@@ -126,6 +161,27 @@ TEST(SweepRunner, SummaryAggregatesCountsAndFailures) {
   EXPECT_EQ(s.op_latency.count(), total);
   // The one-line rendering mentions the run count.
   EXPECT_NE(s.summary().find("4 runs"), std::string::npos) << s.summary();
+}
+
+// Jobs share nothing and workers claim them one at a time, so the pool
+// spreads the CPU: the workers' total thread CPU is at least 1.5x the
+// slowest worker's at 2 jobs and 2.0x at 4. Both figures come from the
+// same run, because one core's speed on a shared host drifts by more than
+// these floors allow between two runs.
+TEST(SweepRunner, WorkersSplitTheCpu) {
+  const ScenarioSpec spec = *find_scenario("majority-split");
+  for (const auto& [jobs, floor] : {std::pair<std::size_t, double>{2, 1.5},
+                                    std::pair<std::size_t, double>{4, 2.0}}) {
+    SweepOptions opt;
+    opt.jobs = jobs;
+    SweepRunner runner(opt);
+    runner.add_seed_range(spec, 100, 115);
+    const SweepSummary s = runner.run();
+    EXPECT_TRUE(s.ok);
+    if (s.max_worker_cpu_sec == 0) GTEST_SKIP() << "no per-thread CPU clock";
+    EXPECT_GE(s.total_worker_cpu_sec / s.max_worker_cpu_sec, floor)
+        << jobs << " jobs";
+  }
 }
 
 }  // namespace

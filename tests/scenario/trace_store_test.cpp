@@ -1,6 +1,6 @@
 // TraceRecorder's pooled ring-segment event store: indexing across segment
 // boundaries, clear()-then-rerecord reuse (the "ring" contract the sweep
-// workers and BM_TraceRecordAlloc lean on), hash stability across storage
+// workers and the alloc_tests gate lean on), hash stability across storage
 // reorganizations, and segment recycling through the thread-local pool.
 #include <gtest/gtest.h>
 

@@ -8,8 +8,8 @@ Three rules that generic tooling cannot express:
                      introduce heap allocation: no `new`/`malloc`, no
                      `std::function`, no growing-container calls. This is
                      the compile-time complement of the counting-operator-new
-                     benches (BM_ChannelSendAlloc et al.): the bench proves
-                     the steady state allocates zero, the lint stops a new
+                     gates (the alloc_tests ctest): the gates prove the
+                     steady state allocates zero, the lint stops a new
                      allocation from being written in the first place.
                      Deliberate cold-path or amortized allocations carry an
                      `ssr-lint: allow(hot-path-alloc)` annotation naming the

@@ -146,8 +146,7 @@ class Daemon {
     ncfg.enable_vs = opt_.enable_vs;
     ncfg.tick_period = opt_.tick_us;
     ncfg.mux.link.retransmit_period = kRetransmitPeriod;
-    ncfg.mux.link.ack_threshold = kAckThreshold;
-    ncfg.mux.link.clean_threshold = kAckThreshold;
+    ncfg.mux.link.threshold = kAckThreshold;
     if (opt_.exhaust_bound != 0) {
       ncfg.counter.exhaust_bound = opt_.exhaust_bound;
     }
