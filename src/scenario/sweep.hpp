@@ -45,8 +45,8 @@ struct SweepSummary {
   double wall_ms = 0;
   /// Thread CPU seconds of the slowest worker and of all workers together
   /// (0 where unsupported). total / max is how many workers' worth of CPU
-  /// the pool spent in the time its slowest worker ran: the sweep's
-  /// speedup over one worker at the same per-core speed.
+  /// the pool kept busy while its slowest worker ran: how evenly it spread
+  /// the jobs.
   double max_worker_cpu_sec = 0;
   double total_worker_cpu_sec = 0;
 

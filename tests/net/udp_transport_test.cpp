@@ -247,43 +247,6 @@ TEST(UdpTransport, CorruptedDatagramsAreDroppedNotFatal) {
   EXPECT_EQ(delivered, 1u);
 }
 
-// The sendmmsg ring coalesces: windows of 32 datagrams, each staged
-// back-to-back and flushed at the window boundary (the tick-boundary hook),
-// share at least 8 datagrams per send syscall at ring depths 16 and 32,
-// and all of them arrive over loopback.
-TEST(UdpTransport, BatchedRingCoalescesSendSyscalls) {
-  constexpr int kWindow = 32;
-  constexpr int kWindows = 100;
-  for (std::size_t batch : {16u, 32u}) {
-    UdpTransportConfig ca = self_only(1), cb = self_only(2);
-    ca.batch = batch;
-    cb.batch = batch;
-    UdpTransport a(ca), b(cb);
-    a.set_peer(2, UdpEndpoint{"127.0.0.1", b.local_port()});
-    std::size_t got = 0;
-    b.attach(2, [&](const Packet&) { ++got; });
-
-    for (int window = 0; window < kWindows; ++window) {
-      for (int i = 0; i < kWindow; ++i) {
-        wire::Bytes d = wire::BufferPool::local().acquire();
-        d.assign(32, static_cast<std::uint8_t>(i));
-        a.send(1, 2, std::move(d));
-      }
-      a.flush();
-      b.poll_once(0);  // drain, so the receive buffer never fills
-    }
-    const std::size_t sent = kWindow * kWindows;
-    EXPECT_TRUE(pump(a, b, [&] { return got == sent; }, 2000))
-        << got << " of " << sent << " arrived at batch " << batch;
-    EXPECT_EQ(a.stats().sent, sent);
-    ASSERT_GT(a.stats().send_syscalls, 0u);
-    EXPECT_GE(static_cast<double>(a.stats().sent) /
-                  static_cast<double>(a.stats().send_syscalls),
-              8.0)
-        << "batch " << batch;
-  }
-}
-
 TEST(UdpTransport, TimersFireInOrderAndCancelledOnesDoNot) {
   UdpTransport t(self_only(1));
   std::vector<int> fired;

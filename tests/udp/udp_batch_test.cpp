@@ -81,17 +81,22 @@ int scripted_recvmmsg(int fd, mmsghdr* msgs, unsigned n, int flags,
 // -- Ring flush points -------------------------------------------------------
 
 TEST(UdpBatch, RingFullTriggersOneSendmmsgForTheWholeBatch) {
-  UdpTransport a(self_only(1, 4)), b(self_only(2, 4));
-  a.set_peer(2, UdpEndpoint{"127.0.0.1", b.local_port()});
-  std::size_t b_got = 0;
-  b.attach(2, [&](const Packet&) { ++b_got; });
+  for (std::size_t depth : {4u, 16u, 32u}) {
+    UdpTransport a(self_only(1, depth)), b(self_only(2, depth));
+    a.set_peer(2, UdpEndpoint{"127.0.0.1", b.local_port()});
+    std::size_t b_got = 0;
+    b.attach(2, [&](const Packet&) { ++b_got; });
 
-  for (std::uint8_t i = 0; i < 4; ++i) a.send(1, 2, wire::Bytes{i});
-  // The 4th send filled the ring: everything left in one syscall already.
-  EXPECT_EQ(a.stats().send_syscalls, 1u);
-  EXPECT_EQ(a.stats().sent, 4u);
-  EXPECT_EQ(a.stats().batched_sends, 4u);
-  EXPECT_TRUE(pump(a, b, [&] { return b_got >= 4; }, 2000));
+    // Two rings' worth: each send that fills the ring puts the whole ring
+    // on the wire in one syscall.
+    for (std::size_t i = 0; i < 2 * depth; ++i) {
+      a.send(1, 2, wire::Bytes{static_cast<std::uint8_t>(i)});
+    }
+    EXPECT_EQ(a.stats().send_syscalls, 2u) << "depth " << depth;
+    EXPECT_EQ(a.stats().sent, 2 * depth);
+    EXPECT_EQ(a.stats().batched_sends, 2 * depth);
+    EXPECT_TRUE(pump(a, b, [&] { return b_got >= 2 * depth; }, 2000));
+  }
 }
 
 TEST(UdpBatch, ExplicitFlushDrainsAPartialRing) {
