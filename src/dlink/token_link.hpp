@@ -100,7 +100,7 @@ class TokenLink {
 
   void handle_frame(const Frame& frame);
 
-  /// Statistics for tests and benches.
+  /// Statistics for the tests and ssr_bench's per-layer counts.
   struct Stats {
     std::uint64_t rounds_completed = 0;   // token round trips
     std::uint64_t frames_delivered = 0;   // fresh payloads delivered

@@ -8,8 +8,8 @@
 namespace ssr::harness {
 
 /// Records every configuration change at every node — used to verify
-/// closure (Theorem 3.16: no changes during legal executions) and to count
-/// reconfigurations in the benches.
+/// closure (Theorem 3.16: no changes during legal executions) and that
+/// joins never move the configuration (§3.3).
 class ConfigHistoryMonitor {
  public:
   struct Event {
@@ -70,7 +70,6 @@ class VirtualSynchronyMonitor {
 
   std::size_t deliveries() const { return deliveries_; }
   std::size_t mismatches() const { return mismatches_; }
-  std::uint64_t rounds_observed() const { return keys_.size(); }
 
  private:
   struct Key {

@@ -34,7 +34,7 @@ struct WorldConfig {
 
 /// Simulation world: scheduler + network + a SimTransport over them + a set
 /// of full protocol nodes. This is the entry point used by the examples,
-/// the integration tests and every bench scenario. Nodes see only the
+/// the tests, the scenario engine and ssr_bench. Nodes see only the
 /// net::Transport seam; the underlying fabric stays available for fault
 /// injection and channel inspection.
 class World {

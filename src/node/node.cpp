@@ -35,7 +35,7 @@ Node::Node(net::Transport& transport, NodeId id, NodeConfig cfg, Rng rng)
       rng_(rng),
       mux_(transport, id, cfg.mux, rng_.fork()),
       fd_(id, cfg.fd),
-      recsa_(mux_, id, [this] { return fd_.trusted(); }, cfg.recsa),
+      recsa_(mux_, id, [this] { return fd_.trusted(); }),
       recma_(mux_, recsa_, id,
              [this](const IdSet& c) { return eval_conf_(c); }),
       joiner_(

@@ -13,7 +13,6 @@
 namespace ssr::node {
 
 struct NodeConfig {
-  reconf::RecSAOptions recsa;
   fd::FdConfig fd;
   dlink::MuxConfig mux;
   reconf::JoinConfig join;

@@ -56,12 +56,8 @@ std::optional<RecSAMessage> RecSAMessage::decode(const wire::Bytes& raw) {
 // Construction / wiring
 // ---------------------------------------------------------------------------
 
-RecSA::RecSA(dlink::LinkMux& mux, NodeId self, FdSupplier fd_supplier,
-             RecSAOptions options)
-    : mux_(mux),
-      self_(self),
-      fd_supplier_(std::move(fd_supplier)),
-      options_(options) {
+RecSA::RecSA(dlink::LinkMux& mux, NodeId self, FdSupplier fd_supplier)
+    : mux_(mux), self_(self), fd_supplier_(std::move(fd_supplier)) {
   // Boot interrupt (line 31): every entry starts as (], dfltNtf, false);
   // absent records read exactly that way, so only the own record is created.
   ++state_version_;  // boot writes records_/fd_self_ directly
@@ -227,7 +223,6 @@ bool RecSA::same_strict(NodeId k, const IdSet& part) const {
 }
 
 bool RecSA::one_ahead(NodeId k, const IdSet& part) const {
-  if (!options_.relaxed_barrier) return false;
   if (k == self_) return false;
   auto it = records_.find(k);
   if (it == records_.end()) return false;

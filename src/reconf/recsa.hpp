@@ -40,7 +40,7 @@ struct RecSAMessage {
   static std::optional<RecSAMessage> decode(const wire::Bytes& raw);
 };
 
-/// Counters exported for the benches (E1–E4) and the property tests.
+/// Counters read by the property tests and by ssr_bench's per-layer counts.
 struct RecSAStats {
   std::uint64_t resets_started = 0;       // configSet(⊥) calls
   std::uint64_t brute_installs = 0;       // configSet(FD) completions
@@ -49,16 +49,6 @@ struct RecSAStats {
   std::uint64_t phase_transitions = 0;    // barrier advances
   std::uint64_t joins_accepted = 0;       // effective participate() calls
   std::uint64_t stale_detected[5] = {0, 0, 0, 0, 0};  // [0] unused, 1..4
-};
-
-/// Behavioural switches for ablation studies (bench_ablation).
-struct RecSAOptions {
-  /// Deviation #4 (README, "Deviations from the paper"): treat "same
-  /// notification set, exactly one phase ahead" as matching in the barrier
-  /// predicates. Disabling restores the paper's literal (stricter) tests;
-  /// under the coalescing token link this causes spurious brute-force
-  /// resets during delicate replacements.
-  bool relaxed_barrier = true;
 };
 
 /// Reconfiguration Stability Assurance — Algorithm 3.1.
@@ -77,8 +67,7 @@ class RecSA {
  public:
   using FdSupplier = std::function<IdSet()>;
 
-  RecSA(dlink::LinkMux& mux, NodeId self, FdSupplier fd_supplier,
-        RecSAOptions options = {});
+  RecSA(dlink::LinkMux& mux, NodeId self, FdSupplier fd_supplier);
 
   // -- Interface functions of Algorithm 3.1 (Fig. 1 arrows) -----------------
 
@@ -128,7 +117,7 @@ class RecSA {
     on_config_change_.push_back(std::move(fn));
   }
 
-  // -- Transient-fault injection (tests & benches only) ----------------------
+  // -- Transient-fault injection (FaultInjector and tests only) --------------
   /// Overwrites internal state with arbitrary values drawn from `rng`, with
   /// node ids drawn from `universe` — models an arbitrary starting state.
   void inject_corruption(Rng& rng, const IdSet& universe);
@@ -179,7 +168,6 @@ class RecSA {
   dlink::LinkMux& mux_;
   NodeId self_;
   FdSupplier fd_supplier_;
-  RecSAOptions options_;
 
   IdSet fd_self_;  // FD[i] — refreshed at each tick
   std::map<NodeId, PeerRecord> records_;  // includes own record (entry i)

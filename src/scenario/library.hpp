@@ -9,7 +9,7 @@ namespace ssr::scenario {
 
 /// The built-in scenario library: one named spec per execution shape the
 /// paper's theorems talk about. `tools/scenario_runner --list` surfaces
-/// these; tests and benches reference them by name.
+/// these; tests reference them by name.
 const std::vector<ScenarioSpec>& library();
 
 /// Looks a scenario up by name.

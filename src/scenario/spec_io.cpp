@@ -22,22 +22,20 @@ void write_ids(std::ostream& os, const IdSet& ids) {
   }
 }
 
+/// Comma-separated ids, each a strict decimal that fits NodeId; the empty
+/// string is the empty set.
 bool parse_ids(const std::string& s, IdSet& out) {
   out.clear();
   if (s.empty()) return true;
   std::size_t pos = 0;
-  while (pos < s.size()) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str() + pos, &end, 10);
-    if (end == s.c_str() + pos) return false;
-    out.insert(static_cast<NodeId>(v));
-    pos = static_cast<std::size_t>(end - s.c_str());
-    if (pos < s.size()) {
-      if (s[pos] != ',') return false;
-      ++pos;
-    }
+  while (true) {
+    const std::size_t comma = s.find(',', pos);
+    NodeId id = 0;
+    if (!parse_uint(s.substr(pos, comma - pos), id)) return false;
+    out.insert(id);
+    if (comma == std::string::npos) return true;
+    pos = comma + 1;
   }
-  return true;
 }
 
 /// Splits "key rest-of-line"; returns false on a blank line.
@@ -145,8 +143,10 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!parse_flag(rest, spec.adopt_joiners)) return std::nullopt;
     } else if (key == "corrupt_prob") {
       char* end = nullptr;
-      spec.corrupt_probability = std::strtod(rest.c_str(), &end);
+      const double p = std::strtod(rest.c_str(), &end);
       if (end == rest.c_str() || *end != '\0') return std::nullopt;
+      if (!(p >= 0.0 && p <= 1.0)) return std::nullopt;  // also nan
+      spec.corrupt_probability = p;
     } else if (key == "exhaust_bound") {
       if (!parse_uint(rest, spec.exhaust_bound)) return std::nullopt;
     } else if (key == "adversarial") {

@@ -78,7 +78,7 @@ class Arena {
     off_ = 0;
   }
 
-  /// Heap blocks currently owned (growth telemetry for the tests/benches).
+  /// Heap blocks currently owned (growth telemetry for the tests).
   std::size_t blocks() const { return blocks_.size(); }
   /// Total bytes of backing storage owned.
   std::size_t capacity_bytes() const {

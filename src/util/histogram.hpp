@@ -14,7 +14,7 @@ namespace ssr::util {
 /// full 64-bit range — plenty for p50/p99 reporting — while record() is a
 /// couple of shifts and an increment with zero allocation, making it safe
 /// to call from scenario workload hot paths without disturbing the pinned
-/// deterministic traces or the counting-new benches.
+/// deterministic traces or the zero-allocation gates (`alloc_tests`).
 class LatencyHistogram {
  public:
   void record(std::uint64_t us) {

@@ -81,8 +81,6 @@ class VsSmr {
   // -- Introspection ---------------------------------------------------------
   const View& view() const { return mine_.view; }
   Status status() const { return mine_.status; }
-  std::uint64_t round() const { return mine_.rnd; }
-  bool is_coordinator() const { return valid_crd_ == self_; }
   NodeId coordinator() const { return valid_crd_; }
   bool no_coordinator() const { return mine_.no_crd; }
   bool suspended() const { return mine_.suspend; }

@@ -1,5 +1,5 @@
 // Tests of the harness itself: the invariant monitors that every other
-// suite and bench relies on, and whole-world determinism (same seed ⇒
+// suite relies on, and whole-world determinism (same seed ⇒
 // identical executions), which the reproducibility of every experiment
 // depends on.
 #include <gtest/gtest.h>

@@ -41,6 +41,15 @@ bool labels_agree(World& w) {
   return common.has_value();
 }
 
+// Labels created so far, summed over the alive nodes.
+std::uint64_t creations(World& w) {
+  std::uint64_t n = 0;
+  for (NodeId id : w.alive()) {
+    n += w.node(id).labeling().store().stats().created;
+  }
+  return n;
+}
+
 bool run_until_labels_agree(World& w, SimTime timeout) {
   const SimTime deadline = w.scheduler().now() + timeout;
   while (w.scheduler().now() < deadline) {
@@ -58,14 +67,17 @@ TEST(Labeling, MembersConvergeToGlobalMaxLabel) {
 }
 
 // After a delicate reconfiguration the structures are rebuilt for the new
-// member set and convergence is re-established.
+// member set and convergence is re-established, within N² label creations
+// (Theorem 4.4, N = 4 booted nodes).
 TEST(Labeling, ReconfigurationRebuildsAndReconverges) {
   World w(fast_config(83));
   converge(w, 4);
   ASSERT_TRUE(run_until_labels_agree(w, 120 * kSec));
+  const std::uint64_t created_before = creations(w);
   ASSERT_TRUE(w.node(1).recsa().estab(IdSet{1, 2, 3}));
   ASSERT_TRUE(w.run_until_converged(200 * kSec).has_value());
   EXPECT_TRUE(run_until_labels_agree(w, 120 * kSec));
+  EXPECT_LE(creations(w) - created_before, 4u * 4u);
   std::uint64_t rebuilds = 0;
   for (NodeId id = 1; id <= 3; ++id) {
     rebuilds += w.node(id).labeling().stats().rebuilds;
@@ -91,11 +103,12 @@ TEST(Labeling, NonMemberLabelsPurged) {
 }
 
 // Corrupted stores (arbitrary labels everywhere) still converge — and the
-// number of fresh label creations stays within the analytical bound.
+// number of fresh label creations stays within Theorem 4.4's N(N²+m).
 TEST(Labeling, ConvergesFromCorruptedStores) {
   World w(fast_config(87));
   converge(w, 3);
   ASSERT_TRUE(run_until_labels_agree(w, 120 * kSec));
+  const std::uint64_t created_before = creations(w);
   Rng rng(870);
   for (NodeId id = 1; id <= 3; ++id) {
     auto& store = w.node(id).labeling().store();
@@ -107,13 +120,11 @@ TEST(Labeling, ConvergesFromCorruptedStores) {
     }
   }
   EXPECT_TRUE(run_until_labels_agree(w, 200 * kSec));
-  // Theorem 4.4: O(N(N²+m)) creations from an arbitrary state; here the
-  // constants are tiny — use a generous explicit cap to catch runaways.
-  std::uint64_t creations = 0;
-  for (NodeId id = 1; id <= 3; ++id) {
-    creations += w.node(id).labeling().store().stats().created;
-  }
-  EXPECT_LE(creations, 200u);
+  // m bounds the label pairs in transit on a link: one per packet in each
+  // of its two channels.
+  const std::uint64_t n = 3;
+  const std::uint64_t m = 2 * w.config().channel.capacity;
+  EXPECT_LE(creations(w) - created_before, n * (n * n + m));
 }
 
 }  // namespace

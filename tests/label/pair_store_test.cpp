@@ -157,9 +157,9 @@ TEST(PairStore, DuplicatesMerged) {
 
 // The mint path's candidate scratch is arena-backed and rewound per mint:
 // after the first few mints establish the arena's high-water mark, repeated
-// minting adds no backing storage (the allocation-cleanup contract; the
-// counting-new benches guard the maintain path, this guards the mint
-// scratch end to end).
+// minting adds no backing storage (the allocation-cleanup contract;
+// `alloc_tests` guards the maintain path, this guards the mint scratch end
+// to end).
 TEST(PairStore, MintScratchStopsGrowing) {
   auto s = make_store(1, IdSet{1});
   // Force repeated mints: cancel the own max with itself as evidence; the

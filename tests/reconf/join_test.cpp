@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/monitors.hpp"
 #include "harness/world.hpp"
 
 namespace ssr::harness {
@@ -88,16 +89,22 @@ TEST(Join, NoPromotionDuringReconfiguration) {
   EXPECT_TRUE(n5.recsa().is_participant());
 }
 
-// Several joiners are admitted concurrently.
+// Several joiners are admitted concurrently, and the members' configuration
+// never moves while they join (§3.3: replacing it is recMA's job).
 TEST(Join, ManyJoiners) {
   World w(fast_config(69));
   converge(w, 3);
+  const IdSet config_before = *w.common_config();
+  ConfigHistoryMonitor history;
+  history.attach(w);
   for (NodeId id = 4; id <= 7; ++id) w.add_node(id);
   w.run_for(240 * kSec);
   for (NodeId id = 4; id <= 7; ++id) {
     EXPECT_TRUE(w.node(id).recsa().is_participant()) << id;
   }
-  EXPECT_TRUE(w.converged());
+  ASSERT_TRUE(w.converged());
+  EXPECT_EQ(*w.common_config(), config_before);
+  EXPECT_EQ(history.events().size(), 0u);
 }
 
 // Members grant passes only while they are members; the grant counter moves.

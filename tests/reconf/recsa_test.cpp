@@ -22,6 +22,13 @@ World& converge(World& w, std::size_t n) {
   return w;
 }
 
+// Brute-force resets started so far, summed over every node.
+std::uint64_t resets_started(World& w) {
+  std::uint64_t n = 0;
+  for (NodeId id : w.all_ids()) n += w.node(id).recsa().stats().resets_started;
+  return n;
+}
+
 TEST(RecSAMessageWire, Roundtrip) {
   reconf::RecSAMessage m;
   m.fd = IdSet{1, 2, 3};
@@ -59,11 +66,7 @@ TEST(RecSABruteForce, ConflictTriggersResetAndReconverges) {
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*w.common_config(), (IdSet{1, 2, 3, 4}));
   // At least one node must have detected staleness and reset.
-  std::uint64_t resets = 0;
-  for (NodeId id = 1; id <= 4; ++id) {
-    resets += w.node(id).recsa().stats().resets_started;
-  }
-  EXPECT_GT(resets, 0u);
+  EXPECT_GT(resets_started(w), 0u);
 }
 
 // Type-4: the configuration names only crashed processors while joiners are
@@ -82,28 +85,43 @@ TEST(RecSABruteForce, ConfigOfDeadNodesIsReplaced) {
 
 // --- Delicate replacement (the Fig. 2 automaton) ----------------------------
 
+// Node 1 replaces the configuration of `nodes` converged nodes once per
+// entry of `left_out`, each time by every node but that one.
+void replace_without_brute_force(std::uint64_t seed, std::size_t nodes,
+                                 const std::vector<NodeId>& left_out) {
+  World w(fast_config(seed));
+  converge(w, nodes);
+  const std::uint64_t resets_before = resets_started(w);
+  auto& proposer = w.node(1).recsa();
+  for (NodeId out : left_out) {
+    IdSet target;
+    for (NodeId id = 1; id <= nodes; ++id) {
+      if (id != out) target.insert(id);
+    }
+    const reconf::RecSAStats before = proposer.stats();
+    ASSERT_TRUE(proposer.estab(target));
+    ASSERT_TRUE(w.run_until_converged(180 * kSec).has_value());
+    EXPECT_EQ(*w.common_config(), target);
+    // The proposer walked the automaton: 1→2 and 2→0.
+    EXPECT_GE(proposer.stats().phase_transitions, before.phase_transitions + 2);
+    EXPECT_GE(proposer.stats().delicate_installs, before.delicate_installs + 1);
+    // The member left out is still a participant (it follows the new config
+    // from outside).
+    EXPECT_TRUE(w.node(out).recsa().is_participant());
+  }
+  EXPECT_EQ(resets_started(w), resets_before);
+}
+
+// Delicate replacement must not fall back to brute force (Theorem 3.16):
+// once on 4 nodes, and five times back to back on 5 nodes, leaving out each
+// member in turn (README, deviation #4).
 TEST(RecSADelicate, EstabReplacesConfigWithoutBruteForce) {
-  World w(fast_config(25));
-  converge(w, 4);
-  std::uint64_t resets_before = 0;
-  for (NodeId id = 1; id <= 4; ++id) {
-    resets_before += w.node(id).recsa().stats().resets_started;
+  {
+    SCOPED_TRACE("one replacement, 4 nodes");
+    replace_without_brute_force(25, 4, {4});
   }
-  ASSERT_TRUE(w.node(1).recsa().estab(IdSet{1, 2, 3}));
-  auto t = w.run_until_converged(180 * kSec);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(*w.common_config(), (IdSet{1, 2, 3}));
-  // Delicate replacement must not fall back to brute force (Theorem 3.16).
-  std::uint64_t resets_after = 0;
-  for (NodeId id = 1; id <= 4; ++id) {
-    resets_after += w.node(id).recsa().stats().resets_started;
-  }
-  EXPECT_EQ(resets_after, resets_before);
-  // The proposer walked the automaton: 1→2 and 2→0.
-  EXPECT_GE(w.node(1).recsa().stats().phase_transitions, 2u);
-  EXPECT_GE(w.node(1).recsa().stats().delicate_installs, 1u);
-  // Node 4 is still a participant (it follows the new config from outside).
-  EXPECT_TRUE(w.node(4).recsa().is_participant());
+  SCOPED_TRACE("five replacements, 5 nodes");
+  replace_without_brute_force(7100, 5, {1, 2, 3, 4, 5});
 }
 
 TEST(RecSADelicate, EstabRejectsBadArguments) {
@@ -119,12 +137,15 @@ TEST(RecSADelicate, ConcurrentProposalsSelectOne) {
   World w(fast_config(29));
   converge(w, 5);
   // Two simultaneous proposals: the lexically greater set must win.
+  const std::uint64_t resets_before = resets_started(w);
   ASSERT_TRUE(w.node(1).recsa().estab(IdSet{1, 2, 3}));
   ASSERT_TRUE(w.node(5).recsa().estab(IdSet{1, 2, 4}));
   auto t = w.run_until_converged(180 * kSec);
   ASSERT_TRUE(t.has_value());
-  // ⟨1,{1,2,4}⟩ >lex ⟨1,{1,2,3}⟩.
+  // ⟨1,{1,2,4}⟩ >lex ⟨1,{1,2,3}⟩, selected without a brute-force reset
+  // (Fig. 2).
   EXPECT_EQ(*w.common_config(), (IdSet{1, 2, 4}));
+  EXPECT_EQ(resets_started(w), resets_before);
 }
 
 TEST(RecSADelicate, NoRecoIsFalseDuringReplacement) {

@@ -138,6 +138,29 @@ TEST(SpecIo, RejectsMalformedInput) {
                       "reg=\n"
                       "end\n"));  // malformed id list
   EXPECT_FALSE(rejects(good));
+
+  // Ids are strict decimals that fit NodeId: no sign, no wrap-around.
+  const auto with_targets = [](const std::string& ids) {
+    return "ssrspec v1\nname x\nnodes 3\nphase p\naction crash targets=" +
+           ids + " group= n=0 duration=0 reg=\nend\n";
+  };
+  EXPECT_FALSE(rejects(with_targets("1,2")));
+  EXPECT_TRUE(rejects(with_targets("+1")));
+  EXPECT_TRUE(rejects(with_targets("1,")));
+  // 2^32 + 1 and 2^32 + 2 would wrap to 1 and 2 in 32 bits.
+  EXPECT_TRUE(rejects(with_targets("4294967297")));
+  EXPECT_TRUE(rejects(with_targets("1,4294967298")));
+
+  // corrupt_prob is a probability: finite and in [0, 1].
+  const auto with_prob = [](const std::string& p) {
+    return "ssrspec v1\nname x\nnodes 3\ncorrupt_prob " + p + "\nend\n";
+  };
+  for (const char* p : {"0", "0.02", "1"}) {
+    EXPECT_FALSE(rejects(with_prob(p))) << p;
+  }
+  for (const char* p : {"nan", "inf", "-1", "7"}) {
+    EXPECT_TRUE(rejects(with_prob(p))) << p;
+  }
 }
 
 // Multi-fleet specs are retired: a counterexample saved with the old

@@ -17,7 +17,7 @@ fi
 mapfile -t files < <(git ls-files \
   'src/**/*.cpp' 'src/**/*.hpp' \
   'tests/**/*.cpp' 'tests/**/*.hpp' \
-  'bench/*.cpp' 'examples/*.cpp' \
+  'bench/ssr_bench/src/*.cpp' 'examples/*.cpp' \
   'tools/scenario_runner/*.cpp' 'tools/ssr_node/*.cpp')
 
 bad=0
