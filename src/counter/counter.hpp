@@ -70,10 +70,14 @@ struct CounterPair {
     return Counter::ct_less(*mct, *o.mct) ? o : *this;
   }
   /// In-place merged_with: `*this = merged_with(o)` without the temporary,
-  /// so a no-op merge (the steady state) performs no allocation.
-  void merge_from(const CounterPair& o) {
-    if (!legit()) return;
-    if (!o.legit() || Counter::ct_less(*mct, *o.mct)) *this = o;
+  /// so a no-op merge (the steady state) performs no allocation. True when
+  /// the pair changed.
+  bool merge_from(const CounterPair& o) {
+    if (!legit()) return false;
+    if (o.legit() && !Counter::ct_less(*mct, *o.mct)) return false;
+    if (*this == o) return false;
+    *this = o;
+    return true;
   }
 
   bool has_foreign_creator(const IdSet& members) const {

@@ -27,18 +27,14 @@ bool CounterManager::conf_change(const reconf::ConfigValue& cur) const {
 }
 
 void CounterManager::cancel_exhausted() {
-  store_.for_each_max([&](NodeId, CounterPair& p) {
-    if (p.legit() && p.exhausted(cfg_.exhaust_bound)) {
-      p.cancel_exhausted();
-      ++stats_.exhaust_cancels;
-    }
-  });
-  store_.for_each_stored([&](NodeId, CounterPair& p) {
-    if (p.legit() && p.exhausted(cfg_.exhaust_bound)) {
-      p.cancel_exhausted();
-      ++stats_.exhaust_cancels;
-    }
-  });
+  const auto cancel = [&](NodeId, CounterPair& p) {
+    if (!p.legit() || !p.exhausted(cfg_.exhaust_bound)) return false;
+    p.cancel_exhausted();
+    ++stats_.exhaust_cancels;
+    return true;
+  };
+  store_.for_each_max(cancel);
+  store_.for_each_stored(cancel);
 }
 
 void CounterManager::find_max() {
@@ -71,6 +67,7 @@ void CounterManager::tick() {
             recsa_.is_participant();
   if (!member_) {
     mux_.clear_state_all(dlink::kPortCounter);
+    published_.forget();
     return;
   }
 
@@ -84,10 +81,17 @@ void CounterManager::tick() {
 
   if (no_reco && !conf_change(cur)) {  // lines 20–22
     cancel_exhausted();
-    for (NodeId k : store_.members()) {
-      if (k == self_) continue;
-      mux_.publish_state(dlink::kPortCounter, k, encode_exchange(k));
+    // The exchange is a function of the store alone: an unchanged store
+    // leaves the slots holding exactly what a re-encode would put there.
+    if (!published_.skip(store_.version())) {
+      for (NodeId k : store_.members()) {
+        if (k == self_) continue;
+        mux_.publish_state(dlink::kPortCounter, k, encode_exchange(k));
+      }
+      published_.ran(store_.version());
     }
+  } else {
+    published_.forget();
   }
   mux_.for_each_peer([&](NodeId peer) {
     if (!store_.members().contains(peer))
@@ -133,9 +137,11 @@ void CounterManager::serve_write(NodeId from, std::uint32_t op,
     if (incoming.has_main()) {
       const Label& lbl = incoming.main();
       const auto check = [&](NodeId, CounterPair& p) {
-        if (stale_label || !p.has_main()) return;
-        if (p.main() == lbl) return;
-        if (Label::total_less(lbl, p.main())) stale_label = true;
+        if (!stale_label && p.has_main() && !(p.main() == lbl) &&
+            Label::total_less(lbl, p.main())) {
+          stale_label = true;
+        }
+        return false;  // reads only
       };
       store_.for_each_max(check);
       store_.for_each_stored(check);

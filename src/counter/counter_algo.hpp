@@ -5,6 +5,7 @@
 #include "counter/counter_store.hpp"
 #include "dlink/link_mux.hpp"
 #include "reconf/recsa.hpp"
+#include "util/memo.hpp"
 
 namespace ssr::counter {
 
@@ -86,6 +87,7 @@ class CounterManager {
   CounterConfig cfg_;
   CounterStore store_;
   bool member_ = false;
+  util::Memo published_;  // store version of the exchange slots
   std::vector<RespHandler> resp_handlers_;
   CounterMgrStats stats_;
 };

@@ -32,6 +32,25 @@ enum class FrameKind : std::uint8_t {
                   // `link_sender` → peer and a kAck of the reverse link
 };
 
+/// A frame checked and parsed in place: its payload stays in the packet it
+/// arrived in. The receive path works on views and copies a payload only
+/// when the link delivers it, since most data copies are retransmissions
+/// that the receiver drops unread.
+struct FrameView {
+  FrameKind kind = FrameKind::kData;
+  NodeId link_sender = kNoNode;
+  std::uint8_t label = 0;
+  std::uint8_t ack_label = 0;
+  const std::uint8_t* payload = nullptr;  // kData and kDataAck
+  std::size_t payload_size = 0;
+
+  /// Checks the structure and the seal of `raw`, which must outlive the
+  /// view; nullopt for garbage or a corrupted frame.
+  static std::optional<FrameView> parse(const wire::Bytes& raw);
+  /// The payload in a pooled buffer.
+  wire::Bytes copy_payload() const;
+};
+
 struct Frame {
   FrameKind kind = FrameKind::kData;
   NodeId link_sender = kNoNode;  // identifies which directed link

@@ -136,7 +136,8 @@ void LinkMux::deliver_bundle(NodeId peer, const wire::Bytes& bundle) {
 
 void LinkMux::handle_packet(const net::Packet& pkt) {
   if (down_) return;
-  auto frame = Frame::decode(pkt.payload);
+  // Parsed in place: the link copies the payload only if it delivers it.
+  const auto frame = FrameView::parse(pkt.payload);
   if (!frame) return;  // garbage or corrupted — drop
   // A link is named by its sender; only frames naming `self` or the actual
   // network source are meaningful here (paper, Section 2: mismatched labels
@@ -147,8 +148,6 @@ void LinkMux::handle_packet(const net::Packet& pkt) {
   auto& ps = ensure_peer(pkt.src);
   ps.link->start();
   ps.link->handle_frame(*frame);
-  // The decoded payload slice dies here; recycle it for the next frame.
-  wire::BufferPool::local().release(std::move(frame->payload));
 }
 
 IdSet LinkMux::peers() const {
@@ -163,6 +162,13 @@ IdSet LinkMux::peers() const {
 const TokenLink* LinkMux::link(NodeId peer) const {
   auto it = peers_.find(peer);
   return it == peers_.end() ? nullptr : it->second.link.get();
+}
+
+const wire::Bytes* LinkMux::state_slot(Port port, NodeId peer) const {
+  auto it = peers_.find(peer);
+  if (it == peers_.end()) return nullptr;
+  auto slot = it->second.state_slots.find(port);
+  return slot == it->second.state_slots.end() ? nullptr : &slot->second;
 }
 
 }  // namespace ssr::dlink

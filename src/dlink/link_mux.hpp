@@ -91,6 +91,8 @@ class LinkMux {
     }
   }
   const TokenLink* link(NodeId peer) const;
+  /// The state published for (port, peer), or nullptr (read-only, tests).
+  const wire::Bytes* state_slot(Port port, NodeId peer) const;
 
  private:
   struct PeerState {

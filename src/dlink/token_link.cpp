@@ -30,9 +30,9 @@ wire::Bytes Frame::encode() const {
   return w.take();
 }
 
-std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
+std::optional<FrameView> FrameView::parse(const wire::Bytes& raw) {
   wire::Reader r(raw);
-  Frame f;
+  FrameView f;
   const std::uint8_t kind = r.u8();
   if (kind < 1 || kind > 6) return std::nullopt;
   f.kind = static_cast<FrameKind>(kind);
@@ -40,7 +40,7 @@ std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
   f.label = r.u8();
   if (f.kind == FrameKind::kDataAck) f.ack_label = r.u8();
   if (f.kind == FrameKind::kData || f.kind == FrameKind::kDataAck) {
-    f.payload = r.bytes();
+    f.payload = r.bytes_in_place(f.payload_size);
   }
   // The seal (last u32) covers every preceding byte: a flipped bit in a
   // value field decodes structurally but not semantically — without this,
@@ -49,6 +49,27 @@ std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
   const std::uint32_t seal = r.u32();
   if (!r.ok() || !r.exhausted()) return std::nullopt;
   if (seal != wire::crc32c(raw.data(), raw.size() - 4)) return std::nullopt;
+  return f;
+}
+
+wire::Bytes FrameView::copy_payload() const {
+  wire::Bytes out = wire::BufferPool::local().acquire();
+  // ssr-lint: allow(hot-path-alloc): assign into a pooled buffer's sticky capacity.
+  out.assign(payload, payload + payload_size);
+  return out;
+}
+
+std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
+  const auto v = FrameView::parse(raw);
+  if (!v) return std::nullopt;
+  Frame f;
+  f.kind = v->kind;
+  f.link_sender = v->link_sender;
+  f.label = v->label;
+  f.ack_label = v->ack_label;
+  if (f.kind == FrameKind::kData || f.kind == FrameKind::kDataAck) {
+    f.payload = v->copy_payload();
+  }
   return f;
 }
 
@@ -187,7 +208,7 @@ bool TokenLink::count_ack(std::uint8_t label) {
   return true;
 }
 
-void TokenLink::receive_data(const Frame& frame, bool round_began) {
+void TokenLink::receive_data(const FrameView& frame, bool round_began) {
   if (!rx_clean_) {
     // Paper §3.3: a fresh endpoint must not consume possibly-stale
     // packets before the link is cleaned; the quarantine lifts only
@@ -235,11 +256,14 @@ void TokenLink::receive_data(const Frame& frame, bool round_began) {
     rx_recent_.push_back(frame.label);
     ++stats_.frames_delivered;
     heartbeat_();
-    deliver_(frame.payload);
+    // The only copy of the payload out of the packet.
+    wire::Bytes payload = frame.copy_payload();
+    deliver_(payload);
+    wire::BufferPool::local().release(std::move(payload));
   }
 }
 
-void TokenLink::handle_frame(const Frame& frame) {
+void TokenLink::handle_frame(const FrameView& frame) {
   if (down_) return;
   switch (frame.kind) {
     case FrameKind::kData:

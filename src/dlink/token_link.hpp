@@ -98,7 +98,7 @@ class TokenLink {
   /// Cancels all timers (crash / disconnect).
   void shutdown();
 
-  void handle_frame(const Frame& frame);
+  void handle_frame(const FrameView& frame);
 
   /// Statistics for the tests and ssr_bench's per-layer counts.
   struct Stats {
@@ -125,7 +125,7 @@ class TokenLink {
   bool count_ack(std::uint8_t label);
   /// Receiver side: answers and delivers one data copy. `round_began`: the
   /// same packet's ack began a round whose first copy is not sent yet.
-  void receive_data(const Frame& frame, bool round_began);
+  void receive_data(const FrameView& frame, bool round_began);
 
   net::Transport& transport_;
   Rng rng_;

@@ -92,9 +92,12 @@ struct LabelPair {
     return legit() ? o : *this;
   }
   /// In-place merged_with: `*this = merged_with(o)` without the temporary,
-  /// so a no-op merge (the steady state) performs no allocation.
-  void merge_from(const LabelPair& o) {
-    if (legit()) *this = o;
+  /// so a no-op merge (the steady state) performs no allocation. True when
+  /// the pair changed.
+  bool merge_from(const LabelPair& o) {
+    if (!legit() || *this == o) return false;
+    *this = o;
+    return true;
   }
 
   /// cleanLP(): true if ml or cl was created by a non-member.

@@ -42,6 +42,7 @@ void Labeling::tick() {
             recsa_.is_participant();
   if (!member_) {
     mux_.clear_state_all(dlink::kPortLabel);
+    published_.forget();
     return;
   }
 
@@ -55,11 +56,18 @@ void Labeling::tick() {
   }
 
   // Lines 15–17: transmit to every other member, unless reconfiguring.
+  // The exchange is a function of the store alone: an unchanged store
+  // leaves the slots holding exactly what a re-encode would put there.
   if (no_reco && !conf_change(cur)) {
-    for (NodeId k : store_.members()) {
-      if (k == self_) continue;
-      mux_.publish_state(dlink::kPortLabel, k, encode_exchange(k));
+    if (!published_.skip(store_.version())) {
+      for (NodeId k : store_.members()) {
+        if (k == self_) continue;
+        mux_.publish_state(dlink::kPortLabel, k, encode_exchange(k));
+      }
+      published_.ran(store_.version());
     }
+  } else {
+    published_.forget();
   }
   mux_.for_each_peer([&](NodeId peer) {
     if (!store_.members().contains(peer))

@@ -3,6 +3,7 @@
 #include "dlink/link_mux.hpp"
 #include "label/label_store.hpp"
 #include "reconf/recsa.hpp"
+#include "util/memo.hpp"
 
 namespace ssr::label {
 
@@ -45,6 +46,7 @@ class Labeling {
   NodeId self_;
   LabelStore store_;
   bool member_ = false;
+  util::Memo published_;  // store version of the exchange slots
   LabelingStats stats_;
 };
 

@@ -7,6 +7,7 @@
 
 #include "label/label.hpp"
 #include "util/id_set.hpp"
+#include "util/memo.hpp"
 
 namespace ssr::label {
 
@@ -23,6 +24,7 @@ struct StoreStats {
   std::uint64_t created = 0;       // nextLabel() invocations
   std::uint64_t cancellations = 0; // pairs cancelled by stored evidence
   std::uint64_t stale_flushes = 0; // emptyAllQueues() due to staleInfo()
+  std::uint64_t receipts_skipped = 0;  // repeats of a no-op receipt
 };
 
 /// The receipt action of Algorithm 4.2, generic over the pair type: the
@@ -30,9 +32,15 @@ struct StoreStats {
 /// and counter pairs (Algorithm 4.3, "adjusted for counter structures").
 ///
 /// Requirements on P: has_main(), legit(), creator(), main() → Label,
-/// same_main(P), cancel_with(Label), merge_from(P) (in-place duplicate
-/// resolution), has_foreign_creator(IdSet), static total_less(P,P),
-/// static null().
+/// same_main(P), cancel_with(Label), merge_from(P) → bool (in-place
+/// duplicate resolution; true when it changed the pair),
+/// has_foreign_creator(IdSet), static total_less(P,P), static null(),
+/// operator==.
+///
+/// version() moves on every change of max_, stored_ or members_, and a
+/// receipt, refresh or visitor that changes nothing leaves it alone. So a
+/// sender can skip re-encoding an unchanged exchange, and a receipt that
+/// repeats a no-op can be skipped (see receipt()).
 template <class P>
 class PairStore {
  public:
@@ -45,13 +53,15 @@ class PairStore {
 
   PairStore(NodeId self, StoreConfig cfg, CreateFn create)
       : self_(self), cfg_(cfg), create_(std::move(create)) {
-    // ssr-lint: allow(hot-path-alloc) constructor-time membership seed.
+    // ssr-lint: allow(hot-path-alloc, memo-invalidate) constructor-time
+    // membership seed, before any memo exists.
     members_.insert(self_);
   }
 
   /// Rebuild for a new configuration (operator rebuild(v) of Alg. 4.1):
   /// non-member structures are dropped and every queue is emptied.
   void rebuild(const IdSet& members) {
+    ++version_;
     members_ = members;
     stored_.clear();
     for (auto it = max_.begin(); it != max_.end();) {
@@ -61,36 +71,69 @@ class PairStore {
         ++it;
       }
     }
+    std::erase_if(receipts_,
+                  [&](const auto& kv) { return !members_.contains(kv.first); });
     clean_max(members);
   }
 
-  void empty_all_queues() { stored_.clear(); }
+  void empty_all_queues() {
+    ++version_;
+    stored_.clear();
+  }
 
   /// cleanMax(): voids max entries holding labels by non-member creators.
   void clean_max(const IdSet& members) {
     for (auto& [id, pair] : max_) {
       (void)id;
-      if (pair.has_foreign_creator(members)) pair = P::null();
+      if (pair.has_foreign_creator(members)) {
+        pair = P::null();
+        ++version_;
+      }
     }
   }
 
   /// The labelReceiptAction / counterReceiptAction. `from == self` with
   /// null arguments acts as the argument-less refresh.
+  ///
+  /// A receipt from a member returns at once when the previous receipt
+  /// from `from` carried the same two pairs, changed nothing, and the
+  /// store has not changed since: running it again would change nothing
+  /// either. Every util::kRefresh-th such repeat still runs in full.
   void receipt(const P& sent_max, const P& last_sent, NodeId from) {
-    if (from != self_) max_[from] = sent_max;  // line 18
-    // Line 19: the peer echoed a cancellation of our own max.
-    P& mine = max_[self_];
-    if (last_sent.has_main() && !last_sent.legit() && mine.has_main() &&
-        mine.same_main(last_sent)) {
-      mine = last_sent;
+    if (from == self_ || !members_.contains(from)) {
+      apply_receipt(sent_max, last_sent, from);
+      return;
     }
-    maintain();
+    // ssr-lint: allow(hot-path-alloc) one memo per member, made on its
+    // first receipt and dropped by rebuild() with its max entry.
+    ReceiptMemo& m = receipts_[from];
+    const bool same = m.sent_max == sent_max && m.last_sent == last_sent;
+    if (m.memo.skip(version_, same)) {
+      ++stats_.receipts_skipped;
+      return;
+    }
+    const std::uint64_t before = version_;
+    apply_receipt(sent_max, last_sent, from);
+    if (version_ != before) {
+      m.memo.forget();
+      return;
+    }
+    if (!same) {
+      m.sent_max = sent_max;
+      m.last_sent = last_sent;
+    }
+    m.memo.ran(version_);
   }
 
   /// Argument-less maintenance (used after rebuilds and by refresh loops).
   void refresh() { maintain(); }
 
+  /// Moves on every change of max_, stored_ or members_.
+  std::uint64_t version() const { return version_; }
+
   const P& local_max() {
+    // ssr-lint: allow(memo-invalidate) inserting an empty entry changes
+    // nothing any reader sees.
     return max_[self_];
   }
   const P* max_entry(NodeId j) const {
@@ -105,27 +148,67 @@ class PairStore {
   const StoreStats& stats() const { return stats_; }
 
   /// Fault injection: plants an arbitrary pair in a queue / max entry.
-  // ssr-lint: allow(hot-path-alloc) test-only fault injection, never on
-  // the maintenance path.
-  void inject_stored(NodeId j, P pair) { stored_[j].push_front(std::move(pair)); }
-  void inject_max(NodeId j, P pair) { max_[j] = std::move(pair); }
+  void inject_stored(NodeId j, P pair) {
+    ++version_;
+    // ssr-lint: allow(hot-path-alloc) test-only fault injection, never on
+    // the maintenance path.
+    stored_[j].push_front(std::move(pair));
+  }
+  void inject_max(NodeId j, P pair) {
+    ++version_;
+    max_[j] = std::move(pair);
+  }
 
   /// Mutable sweep over the max entries (the counter layer cancels
-  /// exhausted counters before maintenance — cancelExhaustedMaxC()).
+  /// exhausted counters before maintenance — cancelExhaustedMaxC()). The
+  /// visitor returns true when it changed the pair.
   // ssr-lint: allow(hot-path-alloc) visitor taken by const reference; a
   // capture-light lambda binds to it without heap allocation.
-  void for_each_max(const std::function<void(NodeId, P&)>& fn) {
-    for (auto& [j, mp] : max_) fn(j, mp);
+  void for_each_max(const std::function<bool(NodeId, P&)>& fn) {
+    for (auto& [j, mp] : max_) {
+      if (fn(j, mp)) ++version_;
+    }
   }
   // ssr-lint: allow(hot-path-alloc) same visitor idiom as for_each_max.
-  void for_each_stored(const std::function<void(NodeId, P&)>& fn) {
+  void for_each_stored(const std::function<bool(NodeId, P&)>& fn) {
     for (auto& [j, q] : stored_) {
-      for (P& lp : q) fn(j, lp);
+      for (P& lp : q) {
+        if (fn(j, lp)) ++version_;
+      }
     }
   }
 
  private:
-  std::deque<P>& labels_of(NodeId creator) { return stored_[creator]; }
+  /// What the last receipt from one member carried, and the version it
+  /// left the store at when it changed nothing.
+  struct ReceiptMemo {
+    P sent_max = P::null();
+    P last_sent = P::null();
+    util::Memo memo;
+  };
+
+  std::deque<P>& labels_of(NodeId creator) {
+    // ssr-lint: allow(memo-invalidate) an empty queue reads as no queue.
+    return stored_[creator];
+  }
+
+  /// dst = src, counted as a change only when the value differs.
+  void assign(P& dst, const P& src) {
+    if (dst == src) return;
+    dst = src;
+    ++version_;
+  }
+
+  void apply_receipt(const P& sent_max, const P& last_sent, NodeId from) {
+    if (from != self_) assign(max_[from], sent_max);  // line 18
+    // Line 19: the peer echoed a cancellation of our own max.
+    P& mine = max_[self_];
+    if (last_sent.has_main() && !last_sent.legit() && mine.has_main() &&
+        mine.same_main(last_sent)) {
+      assign(mine, last_sent);
+    }
+    maintain();
+  }
 
   bool stale_info() const {
     for (const auto& [j, q] : stored_) {
@@ -164,6 +247,7 @@ class PairStore {
         }
       }
       if (merged) {
+        ++version_;
         q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -179,6 +263,7 @@ class PairStore {
         for (const P& ev : q) {
           if (ev.legit() && !(&ev == &lp)) {
             lp.cancel_with(ev.main());
+            ++version_;
             break;
           }
         }
@@ -190,13 +275,17 @@ class PairStore {
   void enforce_capacity(NodeId j, std::deque<P>& q) {
     const std::size_t cap =
         j == self_ ? cfg_.own_queue_capacity : cfg_.peer_queue_capacity;
-    while (q.size() > cap) q.pop_back();
+    while (q.size() > cap) {
+      q.pop_back();
+      ++version_;
+    }
   }
 
   void maintain() {
     // staleInfo() → emptyAllQueues() (line 20).
     if (stale_info()) {
       ++stats_.stale_flushes;
+      ++version_;
       stored_.clear();
     }
     // Line 21: record every max entry in its creator's queue. A same-main
@@ -210,12 +299,13 @@ class PairStore {
       bool exists = false;
       for (P& lp : q) {
         if (lp.same_main(mp)) {
-          lp.merge_from(mp);
+          if (lp.merge_from(mp)) ++version_;
           exists = true;
           break;
         }
       }
       if (!exists) {
+        ++version_;
         // ssr-lint: allow(hot-path-alloc) steady state merges in place
         // (same_main above); a new front entry only appears when a label
         // actually changes, and deque growth is bounded by enforce_capacity
@@ -236,6 +326,7 @@ class PairStore {
             // other ⋠lb lp fails: `other` is not below lp → evidence.
             lp.cancel_with(other.main());
             ++stats_.cancellations;
+            ++version_;
             break;
           }
         }
@@ -248,7 +339,7 @@ class PairStore {
       if (!members_.contains(mp.creator())) continue;
       auto& q = labels_of(mp.creator());
       for (P& lp : q) {
-        if (lp.legit() && lp.same_main(mp)) lp = mp;
+        if (lp.legit() && lp.same_main(mp)) assign(lp, mp);
       }
     }
     // Line 24: remove doubles.
@@ -261,7 +352,7 @@ class PairStore {
       auto& q = labels_of(mp.creator());
       for (const P& lp : q) {
         if (!lp.legit() && lp.same_main(mp)) {
-          mp = lp;
+          assign(mp, lp);
           break;
         }
       }
@@ -275,12 +366,11 @@ class PairStore {
       if (best_ptr == nullptr || P::total_less(*best_ptr, mp)) best_ptr = &mp;
     }
     if (best_ptr != nullptr) {
-      // Copy before mutating max_ — into a reusable scratch slot whose
-      // heap blocks (antisting vectors, optionals) persist across calls,
-      // so the adoption step allocates only while the adopted label grows.
-      adopt_scratch_ = *best_ptr;
-      const P& best = adopt_scratch_;
-      max_[self_] = best;
+      // Assigned in place (std::map entries never move), so the adoption
+      // step copies, and allocates, only while the adopted label changes.
+      P& mine = max_[self_];
+      assign(mine, *best_ptr);
+      const P& best = mine;
       // Epoch-refresh rule (README, "Deviations from the paper"): if one
       // of our *own* cancelled labels still compares above the adopted best
       // (an exhausted epoch we created), no other processor can mint a
@@ -309,7 +399,7 @@ class PairStore {
       if (best == nullptr || P::total_less(*best, lp)) best = &lp;
     }
     if (best != nullptr) {
-      max_[self_] = *best;
+      assign(max_[self_], *best);
       return;
     }
     mint_fresh();
@@ -319,6 +409,7 @@ class PairStore {
     auto& q = labels_of(self_);
     P fresh = create_(q);
     ++stats_.created;
+    ++version_;
     // ssr-lint: allow(hot-path-alloc) minting is the rare event the store
     // exists to make rare (StoreStats::created counts it); the steady-state
     // maintenance path never reaches here.
@@ -333,7 +424,8 @@ class PairStore {
   IdSet members_;
   std::map<NodeId, P> max_;              // max[] / maxC[]
   std::map<NodeId, std::deque<P>> stored_;  // storedLabels[] / storedCnts[]
-  P adopt_scratch_ = P::null();          // reused by the adoption step
+  std::uint64_t version_ = 0;
+  std::map<NodeId, ReceiptMemo> receipts_;  // members' last receipts
   StoreStats stats_;
 };
 

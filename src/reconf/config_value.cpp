@@ -1,5 +1,7 @@
 #include "reconf/config_value.hpp"
 
+#include <ostream>
+
 #include "util/assert.hpp"
 
 namespace ssr::reconf {
@@ -55,6 +57,10 @@ std::string ConfigValue::to_string() const {
       return ids_.to_string();
   }
   return "?";
+}
+
+std::ostream& operator<<(std::ostream& os, const ConfigValue& v) {
+  return os << v.to_string();
 }
 
 }  // namespace ssr::reconf

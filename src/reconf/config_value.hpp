@@ -1,6 +1,7 @@
 #pragma once
 
 #include <compare>
+#include <iosfwd>
 #include <string>
 
 #include "util/id_set.hpp"
@@ -50,5 +51,8 @@ class ConfigValue {
   Tag tag_ = Tag::kNonParticipant;
   IdSet ids_;
 };
+
+/// Prints to_string(): ], ⊥ or the set, e.g. {1,2,3}.
+std::ostream& operator<<(std::ostream& os, const ConfigValue& v);
 
 }  // namespace ssr::reconf

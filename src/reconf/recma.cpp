@@ -53,6 +53,7 @@ void RecMA::tick() {
   // Line 6: essentially executed only by participants.
   if (!recsa_.is_participant()) {
     mux_.clear_state_all(dlink::kPortRecMA);
+    published_.forget();
     return;
   }
 
@@ -125,10 +126,18 @@ void RecMA::tick() {
 void RecMA::broadcast() {
   const Flags& mine = flags_[self_];
   const IdSet part = recsa_.participants();
-  for (NodeId j : part) {
-    if (j == self_) continue;
-    mux_.publish_state(dlink::kPortRecMA, j,
-                       encode_flags(mine.no_maj, mine.need_reconf));
+  // The slots already hold these flags for these participants unless
+  // either changed since the last publish.
+  const std::uint64_t flags =
+      (mine.no_maj ? 2u : 0u) | (mine.need_reconf ? 1u : 0u);
+  if (!published_.skip(flags, part == published_part_)) {
+    for (NodeId j : part) {
+      if (j == self_) continue;
+      mux_.publish_state(dlink::kPortRecMA, j,
+                         encode_flags(mine.no_maj, mine.need_reconf));
+    }
+    published_part_ = part;
+    published_.ran(flags);
   }
   mux_.for_each_peer([&](NodeId peer) {
     if (!part.contains(peer)) mux_.clear_state(dlink::kPortRecMA, peer);

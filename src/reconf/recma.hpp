@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "reconf/recsa.hpp"
+#include "util/memo.hpp"
 
 namespace ssr::reconf {
 
@@ -65,6 +66,8 @@ class RecMA {
   std::map<NodeId, Flags> flags_;
   std::optional<ConfigValue> prev_config_;
   std::function<bool()> direct_trigger_;
+  util::Memo published_;   // keyed on the published flags
+  IdSet published_part_;   // ... and the participants they went to
   RecMAStats stats_;
 };
 

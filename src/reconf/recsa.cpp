@@ -421,9 +421,18 @@ bool RecSA::participate() {
 // ---------------------------------------------------------------------------
 
 void RecSA::tick() {
-  ++state_version_;  // fd refresh + the cleanup loop write state directly
-  fd_self_ = fd_supplier_();
-  fd_self_.insert(self_);
+  // Every kRefresh-th tick recomputes the derived views even if nothing
+  // changed, so a corrupted cache heals in bounded time.
+  if (++ticks_since_bump_ >= util::kRefresh) {
+    ticks_since_bump_ = 0;
+    ++state_version_;
+  }
+  IdSet fd = fd_supplier_();
+  fd.insert(self_);
+  if (!(fd == fd_self_)) {
+    ++state_version_;
+    fd_self_ = std::move(fd);
+  }
 
   // Line 25a — clean after crashes: entries of processors outside the
   // trusted set revert to (], dfltNtf); we erase them, which reads back
@@ -431,14 +440,18 @@ void RecSA::tick() {
   // notifications.
   for (auto it = records_.begin(); it != records_.end();) {
     if (it->first != self_ && !fd_self_.contains(it->first)) {
+      ++state_version_;
       all_seen_.erase(it->first);
       it = records_.erase(it);
     } else {
       // pk ∉ FD[i].part — non-participants (including pi itself) cannot
       // carry notifications.
-      if (it->second.config.is_non_participant()) {
-        it->second.prp = Notification::none();
-        it->second.all = false;
+      PeerRecord& rec = it->second;
+      if (rec.config.is_non_participant() &&
+          (!(rec.prp == kDefaultNtf) || rec.all)) {
+        ++state_version_;
+        rec.prp = Notification::none();
+        rec.all = false;
       }
       ++it;
     }
@@ -588,8 +601,17 @@ void RecSA::broadcast() {
   if (!is_participant()) {
     // Non-participants must not broadcast (line 29 guard); they only follow.
     mux_.clear_state_all(dlink::kPortRecSA);
+    published_.forget();
     return;
   }
+  if (!published_.skip(state_version_)) publish();
+  // Stop talking to processors we no longer trust.
+  mux_.for_each_peer([&](NodeId peer) {
+    if (!fd_self_.contains(peer)) mux_.clear_state(dlink::kPortRecSA, peer);
+  });
+}
+
+void RecSA::publish() {
   // Encoded field-by-field from references, byte-identical to
   // RecSAMessage::encode(): the old per-peer message staging copied four
   // sets per trusted peer on every do-forever iteration, which dominated
@@ -621,10 +643,7 @@ void RecSA::broadcast() {
     }
     mux_.publish_state(dlink::kPortRecSA, j, w.take());
   }
-  // Stop talking to processors we no longer trust.
-  mux_.for_each_peer([&](NodeId peer) {
-    if (!fd_self_.contains(peer)) mux_.clear_state(dlink::kPortRecSA, peer);
-  });
+  published_.ran(state_version_);
 }
 
 // ---------------------------------------------------------------------------

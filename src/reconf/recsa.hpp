@@ -8,6 +8,7 @@
 #include "dlink/link_mux.hpp"
 #include "reconf/config_value.hpp"
 #include "reconf/notification.hpp"
+#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace ssr::reconf {
@@ -163,7 +164,10 @@ class RecSA {
   // matching type (1..4) or 0.
   int stale_type(const IdSet& part) const;
 
+  /// Line 29: publishes unless the state is unchanged since the last
+  /// publish (the slots then already hold these bytes).
   void broadcast();
+  void publish();
 
   dlink::LinkMux& mux_;
   NodeId self_;
@@ -180,13 +184,19 @@ class RecSA {
   IdSet bcast_scratch_;
 
   // -- Derived-view memoization ----------------------------------------------
-  // no_reco() and chs_config_ref() are pure functions of (records_,
-  // fd_self_) but every subsystem re-evaluates them on every do-forever
-  // tick. `state_version_` is bumped by every mutation path (record(),
-  // tick(), config_set(), inject_corruption()); the caches recompute on a
-  // version mismatch, so results are always identical to the uncached
-  // evaluation — over-bumping merely costs a recompute.
+  // no_reco(), chs_config_ref() and the broadcast are pure functions of
+  // (records_, fd_self_), but every subsystem re-evaluates them on every
+  // do-forever tick. `state_version_` moves on every change of that state:
+  // record() and config_set() bump it before they write, on_message() and
+  // tick() when a compared field differs (a new FD reading, an erased or
+  // reset record), inject_corruption() always. The caches recompute and
+  // broadcast() re-encodes on a version mismatch, so results are always
+  // identical to the uncached evaluation — over-bumping merely costs a
+  // recompute. tick() also bumps it on every util::kRefresh-th call, so a
+  // corrupted cache heals in bounded time while the node is quiet.
   std::uint64_t state_version_ = 0;
+  std::uint32_t ticks_since_bump_ = 0;
+  util::Memo published_;  // state_version_ of the recSA slots
   mutable std::uint64_t no_reco_version_ = ~0ULL;
   mutable bool no_reco_value_ = false;
   mutable std::uint64_t chs_version_ = ~0ULL;

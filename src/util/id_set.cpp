@@ -1,6 +1,7 @@
 #include "util/id_set.hpp"
 
 #include <cstring>
+#include <ostream>
 
 namespace ssr {
 
@@ -145,6 +146,10 @@ std::string IdSet::to_string() const {
   }
   out += "}";
   return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const IdSet& s) {
+  return os << s.to_string();
 }
 
 }  // namespace ssr

@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstddef>
 #include <initializer_list>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -151,5 +152,8 @@ class IdSet {
   NodeId* heap_ = nullptr;          // nullptr ⇒ contents are in inline_
   NodeId inline_[kInlineCapacity];  // sorted, unique
 };
+
+/// Prints to_string(), e.g. {1,2,3} (gtest shows failing comparisons so).
+std::ostream& operator<<(std::ostream& os, const IdSet& s);
 
 }  // namespace ssr

@@ -267,6 +267,19 @@ Bytes Reader::bytes() {
   return out;
 }
 
+const std::uint8_t* Reader::bytes_in_place(std::size_t& n) {
+  n = 0;
+  const std::uint32_t len = u32();
+  if (!ok_ || len > data_.size() - pos_) {
+    ok_ = false;
+    return nullptr;
+  }
+  const std::uint8_t* at = data_.data() + pos_;
+  pos_ += len;
+  n = len;
+  return at;
+}
+
 std::string Reader::str() {
   std::uint32_t n = u32();
   if (!ok_ || n > data_.size() - pos_) {

@@ -167,6 +167,10 @@ class Reader {
   NodeId node_id() { return u32(); }
   IdSet id_set();
   Bytes bytes();
+  /// Length-prefixed raw bytes (u32 count) left where they are: returns
+  /// where they start in the buffer and sets `n` to their count; nullptr
+  /// (and n = 0) after a malformed field.
+  const std::uint8_t* bytes_in_place(std::size_t& n);
   std::string str();
 
   /// True iff no read ran past the buffer or hit a malformed field.

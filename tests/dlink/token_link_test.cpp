@@ -59,6 +59,27 @@ TEST(Frame, ControlKindsHaveNoPayload) {
   }
 }
 
+// The receive path parses a frame where it arrived; the payload is copied
+// out only on delivery.
+TEST(Frame, ViewLeavesThePayloadInThePacket) {
+  Frame f;
+  f.kind = FrameKind::kData;
+  f.link_sender = 3;
+  f.label = 9;
+  f.payload = wire::Bytes{1, 2, 3};
+  const wire::Bytes raw = f.encode();
+  auto view = FrameView::parse(raw);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->link_sender, 3u);
+  EXPECT_EQ(view->label, 9);
+  ASSERT_EQ(view->payload_size, 3u);
+  EXPECT_GE(view->payload, raw.data());
+  EXPECT_LE(view->payload + view->payload_size, raw.data() + raw.size());
+  EXPECT_EQ(view->copy_payload(), (wire::Bytes{1, 2, 3}));
+  const wire::Bytes cut(raw.begin(), raw.end() - 6);  // into the payload
+  EXPECT_FALSE(FrameView::parse(cut).has_value());
+}
+
 TEST(Frame, GarbageRejected) {
   EXPECT_FALSE(Frame::decode(wire::Bytes{}).has_value());
   EXPECT_FALSE(Frame::decode(wire::Bytes{0}).has_value());
@@ -116,11 +137,11 @@ struct LinkPair {
         transport, Rng(2), cfg, 2, 1, [this] { return pop(b_outbox); },
         [this](const wire::Bytes& d) { b_got_push(d); }, [this] { ++b_beats; });
     transport.attach(1, [this](const net::Packet& p) {
-      auto f = Frame::decode(p.payload);
+      auto f = FrameView::parse(p.payload);
       if (f) a->handle_frame(*f);
     });
     transport.attach(2, [this](const net::Packet& p) {
-      auto f = Frame::decode(p.payload);
+      auto f = FrameView::parse(p.payload);
       if (f) b->handle_frame(*f);
     });
   }
@@ -212,7 +233,7 @@ TEST(TokenLink, DuplicatedCleanAckStillDelivers) {
   bool doubled = false;
   lp.net.detach(1);
   lp.transport.attach(1, [&](const net::Packet& p) {
-    auto f = Frame::decode(p.payload);
+    auto f = FrameView::parse(p.payload);
     if (!f) return;
     lp.a->handle_frame(*f);
     if (f->kind == FrameKind::kCleanAck && !doubled) {
@@ -254,7 +275,7 @@ struct ScriptedPeer {
       at_1.push_back(*f);
     });
     transport.attach(2, [this](const net::Packet& p) {
-      auto f = Frame::decode(p.payload);
+      auto f = FrameView::parse(p.payload);
       if (f) b->handle_frame(*f);
     });
   }
@@ -266,6 +287,14 @@ struct ScriptedPeer {
     ch.duplicate_probability = 0.0;
     ch.min_delay = ch.max_delay = 500 * kUsec;
     return ch;
+  }
+
+  /// Hands b a frame as if it arrived: encoded, then parsed in place.
+  void feed(const Frame& f) {
+    const wire::Bytes raw = f.encode();
+    auto view = FrameView::parse(raw);
+    ASSERT_TRUE(view.has_value());
+    b->handle_frame(*view);
   }
 
   static Frame frame(FrameKind kind, NodeId sender, std::uint8_t label) {
@@ -293,7 +322,7 @@ struct ScriptedPeer {
     sched.run_for(600 * kUsec);
     EXPECT_EQ(at_1.size(), 1u);  // the first cleaning probe
     for (std::size_t i = 0; i <= cfg.threshold; ++i) {
-      b->handle_frame(frame(FrameKind::kCleanAck, 2, at_1[0].label));
+      feed(frame(FrameKind::kCleanAck, 2, at_1[0].label));
     }
     EXPECT_FALSE(b->cleaning());
     next_copy();  // sent at once when cleaning completed
@@ -313,10 +342,10 @@ TEST(TokenLink, DataCopyAnsweredByOneDataAck) {
   const auto sent_before = sp.net.channel(2, 1).stats().sent;
   Frame data = ScriptedPeer::frame(FrameKind::kData, 1, 5);
   data.payload = wire::Bytes{7};
-  sp.b->handle_frame(data);
+  sp.feed(data);
   EXPECT_EQ(sp.net.channel(2, 1).stats().sent, sent_before + 1);
   // The reply was b's copy: a data copy right after it gets a bare ack.
-  sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kData, 1, 6));
+  sp.feed(ScriptedPeer::frame(FrameKind::kData, 1, 6));
   EXPECT_EQ(sp.net.channel(2, 1).stats().sent, sent_before + 2);
   sp.sched.run_for(500 * kUsec);
 
@@ -355,10 +384,10 @@ TEST(TokenLink, StaleDataAcksCannotCompleteARound) {
   EXPECT_EQ(sp.b->stats().rounds_completed, 0u);
   // The round completes at exactly threshold + 1 matching acks.
   for (std::size_t i = cap; i < sp.cfg.threshold; ++i) {
-    sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
+    sp.feed(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
   }
   EXPECT_EQ(sp.b->stats().rounds_completed, 0u);
-  sp.b->handle_frame(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
+  sp.feed(ScriptedPeer::frame(FrameKind::kAck, 2, copy.label));
   EXPECT_EQ(sp.b->stats().rounds_completed, 1u);
 }
 

@@ -10,6 +10,7 @@
 #include "net/channel.hpp"
 #include "scenario/trace.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/memo.hpp"
 #include "wire/wire.hpp"
 
 namespace ssr {
@@ -98,9 +99,10 @@ TEST_F(AllocGate, ChannelSendToDeliveryAllocatesNothing) {
 
 // PairStore::maintain(): once the store has adopted a stable maximal label
 // and every peer's max entry sits merged in its creator's queue, a receipt
-// and maintain round runs in place. The dedupe pass works in place,
-// duplicate merges assign into existing storage, and the adoption step
-// reuses a scratch pair.
+// and maintain round runs in place. The dedupe pass works in place, and
+// duplicate merges and the adoption step compare before they assign. Most
+// repeated receipts return through the memo without running maintain; the
+// refresh() calls and every util::kRefresh-th receipt still run it.
 TEST_F(AllocGate, PairStoreMaintainAllocatesNothing) {
   using label::Label;
   using label::LabelPair;
@@ -118,6 +120,7 @@ TEST_F(AllocGate, PairStoreMaintainAllocatesNothing) {
   };
   for (int i = 0; i < 64; ++i) round();  // converge + warm every container
   const std::uint64_t created = store.stats().created;
+  const std::uint64_t skipped = store.stats().receipts_skipped;
 
   constexpr int kRounds = 10000;
   const std::uint64_t allocs_before = util::allocations();
@@ -126,6 +129,9 @@ TEST_F(AllocGate, PairStoreMaintainAllocatesNothing) {
 
   EXPECT_EQ(store.stats().created, created);  // adopted, never minted
   EXPECT_EQ(allocs, 0u) << "in " << kRounds << " rounds";
+  // Each member's receipts skip kRefresh - 1 times in every kRefresh.
+  EXPECT_NEAR(static_cast<double>(store.stats().receipts_skipped - skipped),
+              2.0 * kRounds * (util::kRefresh - 1) / util::kRefresh, 2.0);
 }
 
 // TraceRecorder::record() with warmed ring segments is a slot write. The

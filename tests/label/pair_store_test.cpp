@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "label/label_store.hpp"
+#include "util/memo.hpp"
 
 namespace ssr::label {
 namespace {
@@ -182,6 +183,63 @@ TEST(PairStore, MintScratchStopsGrowing) {
   EXPECT_GT(s.stats().created, minted);
   EXPECT_EQ(s.mint_arena().capacity_bytes(), mark)
       << "mint scratch grew past its high-water mark";
+}
+
+// A receipt that repeats the previous one from the same member returns at
+// once, but only while the store has not changed since that receipt: a
+// change anywhere in the store makes the next repeat run in full.
+TEST(PairStore, RepeatedReceiptSkippedOnlyWhileStoreUnchanged) {
+  auto s = make_store(1, IdSet{1, 2, 3});
+  const LabelPair from2 = LabelPair::of(mk(2, 7));
+  const LabelPair none = LabelPair::null();
+  s.receipt(from2, none, 2);  // records and adopts the label: a change
+  s.receipt(from2, none, 2);  // changes nothing; now remembered
+  EXPECT_EQ(s.stats().receipts_skipped, 0u);
+  const std::uint64_t v = s.version();
+  s.receipt(from2, none, 2);
+  EXPECT_EQ(s.stats().receipts_skipped, 1u);
+  EXPECT_EQ(s.version(), v);
+
+  s.receipt(LabelPair::of(mk(3, 9)), none, 3);  // a greater label: a change
+  ASSERT_NE(s.version(), v);
+  s.receipt(from2, none, 2);  // the store moved: runs in full
+  EXPECT_EQ(s.stats().receipts_skipped, 1u);
+  s.receipt(from2, none, 2);
+  EXPECT_EQ(s.stats().receipts_skipped, 2u);
+  s.receipt(LabelPair::of(mk(2, 8)), none, 2);  // other pairs: runs in full
+  EXPECT_EQ(s.stats().receipts_skipped, 2u);
+  EXPECT_EQ(s.local_max().creator(), 3u);
+}
+
+// The memo is part of the arbitrary initial state. Here a max entry
+// changes behind the store's back (the visitor reports no change, as a
+// missed version bump would): repeats of the receipt that would repair it
+// are skipped, until the util::kRefresh-th one runs in full and leaves the
+// store where a full receipt on a healthy store leaves it.
+TEST(PairStore, LyingReceiptMemoHealsWithinKRefreshRepeats) {
+  const LabelPair from2 = LabelPair::of(mk(2, 7));
+  const LabelPair none = LabelPair::null();
+  auto healthy = make_store(1, IdSet{1, 2});
+  auto s = make_store(1, IdSet{1, 2});
+  for (int i = 0; i < 2; ++i) {
+    healthy.receipt(from2, none, 2);
+    s.receipt(from2, none, 2);  // the second one is remembered as a no-op
+  }
+  s.for_each_max([](NodeId j, LabelPair& p) {
+    if (j == 2) p = LabelPair::null();
+    return false;  // the lie: a change reported as none
+  });
+  ASSERT_FALSE(s.max_entry(2)->has_main());
+  for (std::uint32_t i = 1; i < util::kRefresh; ++i) {
+    s.receipt(from2, none, 2);
+    EXPECT_FALSE(s.max_entry(2)->has_main()) << "repeat " << i << " ran";
+  }
+  s.receipt(from2, none, 2);  // the kRefresh-th repeat
+  ASSERT_NE(s.max_entry(2), nullptr);
+  EXPECT_EQ(*s.max_entry(2), *healthy.max_entry(2));
+  EXPECT_EQ(s.local_max(), healthy.local_max());
+  ASSERT_NE(s.queue(2), nullptr);
+  EXPECT_EQ(*s.queue(2), *healthy.queue(2));
 }
 
 }  // namespace

@@ -180,11 +180,11 @@ TEST(UdpTransport, TokenLinkPairCompletesRoundsOverSockets) {
       },
       [] {});
   ta.attach(1, [&](const Packet& p) {
-    auto f = dlink::Frame::decode(p.payload);
+    auto f = dlink::FrameView::parse(p.payload);
     if (f) a.handle_frame(*f);
   });
   tb.attach(2, [&](const Packet& p) {
-    auto f = dlink::Frame::decode(p.payload);
+    auto f = dlink::FrameView::parse(p.payload);
     if (f) b.handle_frame(*f);
   });
   a.start();

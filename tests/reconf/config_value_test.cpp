@@ -61,5 +61,11 @@ TEST(ConfigValue, DeterministicTotalOrder) {
   EXPECT_TRUE(ConfigValue::bottom() < a);
 }
 
+TEST(ConfigValue, GtestPrintsTheValue) {
+  EXPECT_EQ(testing::PrintToString(ConfigValue::set(IdSet{1, 2, 3})),
+            "{1,2,3}");
+  EXPECT_EQ(testing::PrintToString(ConfigValue::non_participant()), "]");
+}
+
 }  // namespace
 }  // namespace ssr::reconf

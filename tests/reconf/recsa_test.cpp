@@ -171,6 +171,32 @@ TEST(RecSACrash, SurvivesMinorityCrash) {
   EXPECT_TRUE(w.converged());
 }
 
+// --- Quiescent steady state --------------------------------------------------
+
+// broadcast() re-encodes only when recSA's state changed, so a slot
+// overwritten behind recSA's back stays wrong until the memo's refresh. The
+// memo is part of the arbitrary initial state: every util::kRefresh-th
+// tick runs the broadcast in full, which bounds how long a lie survives.
+TEST(RecSAQuiescence, OverwrittenSlotHealsWithinKRefreshTicks) {
+  World w(fast_config(35));
+  converge(w, 3);
+  w.run_for(1 * kSec);
+  dlink::LinkMux& mux = w.node(1).mux();
+  const wire::Bytes* slot = mux.state_slot(dlink::kPortRecSA, 2);
+  ASSERT_NE(slot, nullptr);
+  const wire::Bytes own = *slot;
+  mux.publish_state(dlink::kPortRecSA, 2, wire::Bytes{0xde, 0xad});
+  // Ticked directly, with the world stopped: nothing changes recSA's state.
+  std::uint32_t ticks = 0;
+  while (ticks < util::kRefresh &&
+         *mux.state_slot(dlink::kPortRecSA, 2) != own) {
+    w.node(1).recsa().tick();
+    ++ticks;
+  }
+  EXPECT_EQ(*mux.state_slot(dlink::kPortRecSA, 2), own)
+      << "still overwritten after " << ticks << " ticks";
+}
+
 // --- Convergence from arbitrary states (Theorem 3.15) ------------------------
 
 struct CorruptionCase {

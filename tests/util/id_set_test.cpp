@@ -162,5 +162,11 @@ TEST(IdSet, SetAlgebraOnLargeSets) {
   EXPECT_GT(evens, all);  // {0,2,...} vs {0,1,...}: 2 > 1 at index 1
 }
 
+// A failing EXPECT_EQ on sets shows the ids, not the object's raw bytes.
+TEST(IdSet, GtestPrintsTheIds) {
+  EXPECT_EQ(testing::PrintToString(IdSet{1, 2, 3}), "{1,2,3}");
+  EXPECT_EQ(testing::PrintToString(IdSet{}), "{}");
+}
+
 }  // namespace
 }  // namespace ssr

@@ -80,6 +80,18 @@ class MemoInvalidateRule(unittest.TestCase):
     def test_bumping_twin_passes(self):
         self.assertEqual(run_lint("memo_good.cpp"), [])
 
+    def test_flags_unversioned_store_writes(self):
+        # The PairStore shape: a version keys memoized steps, not a cache.
+        violations = run_lint("memo_store_bad.cpp")
+        self.assertEqual({v.rule for v in violations}, {"memo-invalidate"})
+        fields = "\n".join(v.message for v in violations)
+        for field in ("max_", "stored_", "members_"):
+            self.assertIn(f"'{field}'", fields)
+        self.assertEqual(len(violations), 3)
+
+    def test_versioned_store_twin_passes(self):
+        self.assertEqual(run_lint("memo_store_good.cpp"), [])
+
 
 class RepoIsClean(unittest.TestCase):
     def test_whole_repo_lints_clean(self):
